@@ -21,7 +21,7 @@ type program = {
   description : string;
   init : (string * int64) list;
   threads : thread_cfg list;
-  interesting : (string -> int64) -> bool;
+  interesting : Lang.pred;
   expect_tso : bool;
   expect_wmm : bool;
 }
@@ -307,18 +307,22 @@ let slices ?unroll (p : program) =
 
 let assoc_get k l = match List.assoc_opt k l with Some v -> v | None -> 0L
 
-(* Do the branch outcomes recorded along the slice hold in [o]?  Each
-   constraint names a versioned register written at most once on the
-   path, so its final value is the value the branch saw. *)
-let feasible s (o : Enumerate.outcome) =
-  List.for_all
-    (fun (th, (p : path)) ->
-      List.for_all
-        (fun (r, nonzero) ->
-          let v = assoc_get (Printf.sprintf "%d:%s" th r) o in
-          if nonzero then v <> 0L else v = 0L)
-        p.constraints)
-    (List.mapi (fun th p -> (th, p)) s.threads)
+(* Per-thread facts of a slice, each keyed as ["thread:reg"]. *)
+let per_thread s f =
+  List.concat (List.mapi (fun th pa -> f (Printf.sprintf "%d:%s" th) pa) s.threads)
+
+(* The branch outcomes recorded along the slice, as atoms.  Each names
+   a versioned register written at most once on the path, so its final
+   value is the value the branch saw. *)
+let branch_atoms s =
+  per_thread s (fun key pa ->
+      List.map
+        (fun (r, nonzero) -> if nonzero then Lang.ne (key r) 0L else Lang.eq (key r) 0L)
+        pa.constraints)
+
+let feasible s =
+  let branches = Lang.All (branch_atoms s) in
+  fun (o : Enumerate.outcome) -> Lang.eval branches (fun k -> assoc_get k o)
 
 (* Project a slice outcome onto the program's register/variable
    universe: each base register maps to its path-final version (0 when
@@ -358,7 +362,7 @@ let raw_slice_test (p : program) (s : slice) =
     description = p.description;
     init = p.init;
     threads = List.map (fun (pa : path) -> pa.instrs) s.threads;
-    interesting = (fun _ -> false);
+    interesting = Lang.Never;
     expect_tso = false;
     expect_wmm = false;
   }
@@ -367,34 +371,30 @@ let reachable ?unroll model p =
   let outs = Hashtbl.create 64 in
   List.iter
     (fun s ->
+      let feasible = feasible s in
       List.iter
-        (fun o -> if feasible s o then Hashtbl.replace outs (project p s o) ())
+        (fun o -> if feasible o then Hashtbl.replace outs (project p s o) ())
         (Enumerate.enumerate model (raw_slice_test p s)))
     (slices ?unroll p);
   List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) outs [])
 
 let allows ?unroll model p =
-  List.exists (fun o -> p.interesting (fun r -> assoc_get r o)) (reachable ?unroll model p)
+  List.exists
+    (fun o -> Lang.eval p.interesting (fun r -> assoc_get r o))
+    (reachable ?unroll model p)
 
+(* The slice's predicate: its branch atoms, plus the program's atoms
+   with each base register renamed to its path-final version — the
+   binding {!project} reads. *)
 let slice_test ~name p (s : slice) =
-  let interesting o =
-    (* reconstruct an outcome binding list from the lookup to reuse
-       [feasible]/[project]; predicates only consult known keys *)
-    let raw = raw_slice_test p s in
-    let keys =
-      List.concat
-        (List.mapi
-           (fun th th_instrs ->
-             List.filter_map
-               (fun i ->
-                 Option.map (fun r -> Printf.sprintf "%d:%s" th r) (Lang.writes_reg i))
-               th_instrs)
-           raw.Lang.threads)
-      @ List.map (fun v -> "mem:" ^ v) (Lang.vars raw)
-    in
-    let bindings = List.sort compare (List.map (fun k -> (k, o k)) keys) in
-    feasible s bindings
-    && p.interesting (fun r -> assoc_get r (project p s bindings))
+  let renames =
+    per_thread s (fun key pa -> List.map (fun (base, v) -> (key base, key v)) pa.last_version)
+  in
+  let final k = Option.value (List.assoc_opt k renames) ~default:k in
+  let interesting =
+    match Lang.map_keys final p.interesting with
+    | Lang.Never -> Lang.Never
+    | Lang.All atoms -> Lang.All (branch_atoms s @ atoms)
   in
   let t = { (raw_slice_test p s) with Lang.name; interesting } in
   (* per-slice expectations are honest: a slice may not reach the weak

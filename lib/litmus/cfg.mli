@@ -33,7 +33,7 @@ type program = {
   description : string;
   init : (string * int64) list;
   threads : thread_cfg list;
-  interesting : (string -> int64) -> bool;
+  interesting : Lang.pred;
       (** over base register names (["thread:reg"]) and ["mem:var"],
           exactly as in {!Lang.test} *)
   expect_tso : bool;
@@ -123,10 +123,12 @@ val allows : ?unroll:int -> Enumerate.model -> program -> bool
 (** Is [interesting] satisfied by some reachable outcome? *)
 
 val slice_test : name:string -> program -> slice -> Lang.test
-(** The slice as a self-contained straight-line test: [interesting]
-    holds only on feasible outcomes satisfying the program predicate
-    (after projection), and expectations are recomputed per slice via
-    the enumerator. *)
+(** The slice as a self-contained straight-line test: [interesting] is
+    the slice's branch constraints ([= 0] / [<> 0] atoms on versioned
+    registers) conjoined with the program predicate, each base register
+    renamed to its path-final version; it holds only on feasible
+    outcomes satisfying the program predicate after projection.
+    Expectations are recomputed per slice via the enumerator. *)
 
 val verify_expectations : ?unroll:int -> program -> bool * string
 (** Check [expect_tso]/[expect_wmm] against {!allows}. *)

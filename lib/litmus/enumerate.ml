@@ -192,7 +192,7 @@ let enumerate model (t : Lang.test) =
 
 let allows model t =
   let outs = enumerate model t in
-  List.exists (fun o -> t.interesting (fun r -> assoc_get r o)) outs
+  List.exists (fun o -> Lang.eval t.interesting (fun r -> assoc_get r o)) outs
 
 let verify_expectations t =
   let wmm = allows Wmm t and tso = allows Tso t in

@@ -61,7 +61,7 @@ let generate ?(with_isb = false) rng =
     description = "randomly generated";
     init = List.map (fun v -> (v, 0L)) vars;
     threads;
-    interesting = (fun _ -> false);
+    interesting = Lang.Never;
     expect_tso = false;
     expect_wmm = false;
   }
@@ -139,7 +139,7 @@ let generate_cfg ?(with_loop = true) rng =
     description = "randomly generated CFG";
     init = List.map (fun v -> (v, 0L)) vars;
     threads;
-    interesting = (fun _ -> false);
+    interesting = Lang.Never;
     expect_tso = false;
     expect_wmm = false;
   }

@@ -11,12 +11,69 @@ type instr =
 
 type thread = instr list
 
+type part = Word | Hi | Lo
+
+type atom = { key : string; part : part; eq : bool; value : int64 }
+
+type pred = Never | All of atom list
+
+let eq ?(part = Word) key value = { key; part; eq = true; value }
+let ne ?(part = Word) key value = { key; part; eq = false; value }
+
+let ops =
+  [
+    ("=", (Word, true));
+    ("!=", (Word, false));
+    ("hi=", (Hi, true));
+    ("hi!=", (Hi, false));
+    ("lo=", (Lo, true));
+    ("lo!=", (Lo, false));
+  ]
+
+let op_name a = fst (List.find (fun (_, pe) -> pe = (a.part, a.eq)) ops)
+
+let eval p lookup =
+  match p with
+  | Never -> false
+  | All atoms ->
+    List.for_all
+      (fun a ->
+        let v = lookup a.key in
+        let v =
+          match a.part with
+          | Word -> v
+          | Hi -> Int64.shift_right_logical v 32
+          | Lo -> Int64.logand v 0xFFFF_FFFFL
+        in
+        Int64.equal v a.value = a.eq)
+      atoms
+
+let map_keys f = function
+  | Never -> Never
+  | All atoms -> All (List.map (fun a -> { a with key = f a.key }) atoms)
+
+let normalize = function Never -> Never | All atoms -> All (List.sort_uniq compare atoms)
+
+type binding = Thread_reg of int * string | Mem_var of string
+
+let binding_of_key k =
+  match String.index_opt k ':' with
+  | None -> None
+  | Some i -> (
+    let pre = String.sub k 0 i and name = String.sub k (i + 1) (String.length k - i - 1) in
+    if name = "" then None
+    else if pre = "mem" then Some (Mem_var name)
+    else
+      match int_of_string_opt pre with
+      | Some th when th >= 0 && string_of_int th = pre -> Some (Thread_reg (th, name))
+      | _ -> None)
+
 type test = {
   name : string;
   description : string;
   init : (string * int64) list;
   threads : thread list;
-  interesting : (string -> int64) -> bool;
+  interesting : pred;
   expect_tso : bool;
   expect_wmm : bool;
 }

@@ -31,14 +31,56 @@ type instr =
 
 type thread = instr list
 
+(** {2 Outcome predicates}
+
+    A weak-outcome predicate is data: trivially false, or a conjunction
+    of atoms.  Each atom compares one outcome binding — ["thread:reg"]
+    or ["mem:var"], unset bindings reading 0 — or its high or low
+    32-bit half with a constant. *)
+
+type part = Word | Hi | Lo  (** the whole value, or its high / low 32 bits *)
+
+type atom = { key : string; part : part; eq : bool; value : int64 }
+(** [eq = true] tests [part key = value], [false] tests [<>]. *)
+
+type pred = Never | All of atom list
+
+val eq : ?part:part -> string -> int64 -> atom
+val ne : ?part:part -> string -> int64 -> atom
+
+val ops : (string * (part * bool)) list
+(** The comparisons' names, the one spelling the wire and the job key
+    share: ["="] and ["!="] on the whole value, ["hi="], ["hi!="],
+    ["lo="] and ["lo!="] on its high or low half. *)
+
+val op_name : atom -> string
+(** The name in {!ops} of the atom's comparison. *)
+
+val eval : pred -> (string -> int64) -> bool
+(** [eval p lookup]: [Never] is false; [All atoms] holds when every
+    atom does, reading bindings through [lookup]. *)
+
+val map_keys : (string -> string) -> pred -> pred
+(** Rename every atom's binding key. *)
+
+val normalize : pred -> pred
+(** The predicate's normal form: atoms sorted, repeats dropped.
+    Conjunct order and repetition are presentation, so anything that
+    inspects a predicate's structure reads this form. *)
+
+type binding = Thread_reg of int * string | Mem_var of string
+
+val binding_of_key : string -> binding option
+(** Parse an outcome binding key: ["<thread>:<reg>"], the thread a
+    canonical non-negative decimal, or ["mem:<var>"]; names are
+    non-empty.  [None] for any other key. *)
+
 type test = {
   name : string;
   description : string;
   init : (string * int64) list;  (** shared variables and initial values *)
   threads : thread list;
-  interesting : (string -> int64) -> bool;
-      (** the "weak" outcome predicate over final registers, looked up
-          as ["thread:reg"]; unset registers read as 0 *)
+  interesting : pred;  (** the "weak" outcome predicate *)
   expect_tso : bool;  (** does TSO allow the interesting outcome? *)
   expect_wmm : bool;  (** does ARM's WMM allow it? *)
 }

@@ -167,7 +167,7 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
     in
     Hashtbl.replace outcomes key
       (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-    if t.interesting lookup then witnessed := true;
+    if Lang.eval t.interesting lookup then witnessed := true;
     match san with
     | None -> ()
     | Some s ->

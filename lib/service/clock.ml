@@ -2,12 +2,16 @@
    an NTP step or manual clock change between the two samples produced
    a *negative* wall_us, which then corrupted wall_us_total (the
    retry-after estimator), the latency histogram and every summary
-   derived from them.  This clock monotonizes the source: readings
-   never go backwards, so intervals are >= 0 by construction. *)
+   derived from them.  The default source is the OS monotonic
+   clock, which cannot step; the clamp stays so that an injected
+   source still never yields readings that go backwards, and intervals
+   are >= 0 by construction. *)
 
 type t = { source : unit -> float; mutable last_us : int }
 
-let create ?(source = Unix.gettimeofday) () = { source; last_us = min_int }
+let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let create ?(source = monotonic) () = { source; last_us = min_int }
 
 let now_us t =
   let raw = int_of_float (t.source () *. 1e6) in

@@ -3,8 +3,10 @@
     [Unix.gettimeofday] is wall time and steps backwards under NTP
     corrections; timing a computation with two raw samples can yield a
     negative duration, which corrupted the engine's latency histogram
-    and retry-after accounting.  This wrapper clamps readings to be
-    non-decreasing, so every interval measured against it is >= 0.
+    and retry-after accounting.  The clock therefore reads the OS
+    monotonic clock by default, and still clamps readings to be
+    non-decreasing whatever the source, so every interval measured
+    against it is >= 0.
 
     The raw source is injectable for tests (a deterministic stepping
     source reproduces the clock-step regression without touching the
@@ -13,8 +15,9 @@
 type t
 
 val create : ?source:(unit -> float) -> unit -> t
-(** [source] returns seconds as a float; defaults to
-    [Unix.gettimeofday]. *)
+(** [source] returns seconds as a float; defaults to the OS monotonic
+    clock ([bechamel.monotonic_clock]), whose origin is arbitrary, so
+    only differences between readings mean anything. *)
 
 val now_us : t -> int
 (** Current reading in microseconds, never less than any earlier

@@ -14,16 +14,9 @@ let ( let* ) = Result.bind
 let required what = function Some v -> Ok v | None -> Error ("missing " ^ what)
 
 (* ------------------------------------------------------------------ *)
-(* Inline tests and CFG programs on the wire.
-
-   The [interesting] closure cannot cross a process boundary, so inline
-   tests carry a declarative ["interesting_when"] instead: a list of
-   [key, value] pairs denoting a conjunction of equalities over outcome
-   bindings (["1:r1", 1] means register r1 of thread 1 reads 1).  An
-   absent or empty list is the trivially-false predicate (the fuzzer's
-   convention).  This covers every shape the soak generator emits
-   (MP/SB/LB-style weak outcomes) and keeps {!Key.canonical_test}'s
-   extensional predicate fingerprint deterministic across processes. *)
+(* Inline tests and CFG programs on the wire.  An inline test's
+   predicate travels as ["interesting"], a list of atoms; an absent
+   field is the trivially-false predicate (the fuzzer's convention). *)
 
 let fence_to_wire = function
   | Lang.F_dmb_full -> "dmb"
@@ -112,9 +105,43 @@ let pairs_to_json l =
   Json.List
     (List.map (fun (k, v) -> Json.List [ Json.Str k; Json.Int (Int64.to_int v) ]) l)
 
-let interesting_of_conds conds =
-  if conds = [] then fun _ -> false
-  else fun lookup -> List.for_all (fun (k, v) -> lookup k = v) conds
+(* A predicate atom on the wire is [[key, op, value]], [op] named as in
+   {!Lang.ops}. *)
+let pred_to_json = function
+  | Lang.Never -> []
+  | Lang.All atoms ->
+    let atom (a : Lang.atom) =
+      Json.List [ Json.Str a.key; Json.Str (Lang.op_name a); Json.Int (Int64.to_int a.value) ]
+    in
+    [ ("interesting", Json.List (List.map atom atoms)) ]
+
+(* A key must name a binding an outcome can hold — ["mem:<var>"] or
+   ["<thread>:<reg>"] with the thread in range; any other key would
+   silently read 0. *)
+let pred_key_ok ~threads k =
+  match Lang.binding_of_key k with
+  | Some (Lang.Mem_var _) -> true
+  | Some (Lang.Thread_reg (th, _)) -> th < threads
+  | None -> false
+
+let pred_of_json ~threads = function
+  | None -> Ok Lang.Never
+  | Some (Json.List l) ->
+    map_result
+      (function
+        | Json.List [ Json.Str key; Json.Str op; v ] when pred_key_ok ~threads key -> (
+          match (List.assoc_opt op Lang.ops, Json.int v) with
+          | Some (part, eq), Some n -> Ok { Lang.key; part; eq; value = Int64.of_int n }
+          | _ -> Error (Printf.sprintf "\"interesting\": bad op %S or value for %S" op key))
+        | j ->
+          Error
+            (Printf.sprintf
+               "\"interesting\": bad atom %s (want [\"mem:<var>\" or \"<thread>:<reg>\", \
+                op, int] with thread < %d)"
+               (Json.to_string j) threads))
+      l
+    |> Result.map (fun atoms -> Lang.All atoms)
+  | Some _ -> Error "\"interesting\" must be a list"
 
 let test_inline_of_json j =
   let* name = required "inline test \"name\"" (Json.mem_str "name" j) in
@@ -133,10 +160,8 @@ let test_inline_of_json j =
         ths
     | _ -> Error "inline test needs a \"threads\" list"
   in
-  let* conds =
-    match Json.member "interesting_when" j with
-    | None -> Ok []
-    | Some l -> pairs_of_json "\"interesting_when\"" l
+  let* interesting =
+    pred_of_json ~threads:(List.length threads) (Json.member "interesting" j)
   in
   let* expect_tso = bool_field "expect_tso" j in
   let* expect_wmm = bool_field "expect_wmm" j in
@@ -146,12 +171,12 @@ let test_inline_of_json j =
       description = Option.value ~default:"" (Json.mem_str "description" j);
       init;
       threads;
-      interesting = interesting_of_conds conds;
+      interesting;
       expect_tso;
       expect_wmm;
     }
 
-let test_inline_to_json ~interesting_when (t : Lang.test) =
+let test_inline_to_json (t : Lang.test) =
   Json.Obj
     ([ ("name", Json.Str t.Lang.name) ]
     @ (if t.Lang.description = "" then []
@@ -163,8 +188,7 @@ let test_inline_to_json ~interesting_when (t : Lang.test) =
             (List.map (fun th -> Json.List (List.map instr_to_json th)) t.Lang.threads)
         );
       ]
-    @ (if interesting_when = [] then []
-       else [ ("interesting_when", pairs_to_json interesting_when) ])
+    @ pred_to_json t.Lang.interesting
     @ [
         ("expect_tso", Json.Bool t.Lang.expect_tso);
         ("expect_wmm", Json.Bool t.Lang.expect_wmm);
@@ -200,10 +224,9 @@ let block_of_json j =
   in
   Ok { Cfg.label; body; term }
 
-(* Programs on the wire always carry the trivially-false predicate —
-   [Opt] jobs compare WMM-reachable outcome {e sets}, which never
-   consult it — so no "interesting_when" field exists here; see
-   {!Key.canonical_program} for why this keeps keying sound. *)
+(* Programs on the wire carry no predicate — [Opt] jobs compare
+   WMM-reachable outcome {e sets}, which never consult it — so parsing
+   installs the trivially-false one. *)
 let program_of_json j =
   let* name = required "program \"name\"" (Json.mem_str "name" j) in
   let* init =
@@ -234,7 +257,7 @@ let program_of_json j =
       description = Option.value ~default:"" (Json.mem_str "description" j);
       init;
       threads;
-      interesting = (fun _ -> false);
+      interesting = Lang.Never;
       expect_tso;
       expect_wmm;
     }

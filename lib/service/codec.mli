@@ -24,11 +24,13 @@
       an inline CFG program object — plus ["algorithm"] (default
       "second-chance") and ["unroll"] (default 2).
 
-    {b Inline tests.}  The [interesting] closure cannot cross a process
-    boundary, so ["test_inline"] carries ["interesting_when"] instead: a
-    list of [[key, value]] pairs denoting a conjunction of equalities
-    over outcome bindings (key ["1:r1"] = register r1 of thread 1, or
-    ["mem:x"]); absent/empty means trivially false.  Other fields:
+    {b Inline tests.}  ["interesting"] is the outcome predicate, a list
+    of [[key, op, int]] atoms that must all hold.  A key is
+    ["<thread>:<reg>"] with the thread in range (["1:r1"] = register r1
+    of thread 1) or ["mem:<var>"]; any other key is an error.  [op] is
+    ["="] or ["!="] on the whole value, or ["hi="], ["hi!="], ["lo="],
+    ["lo!="] on its high or low 32 bits.  An absent field means
+    trivially false, an empty list trivially true.  Other fields:
     ["name"], ["init"] ([[var, int]] pairs), ["threads"] (lists of
     instruction objects: [{op:"ld", var, reg, acquire?, addr_dep?}],
     [{op:"st", var, const | from_reg, release?, addr_dep?}],
@@ -38,8 +40,7 @@
     {b Inline programs} mirror inline tests with per-thread ["entry"]
     and ["blocks"] ([{label, body, term}]; ["term"] is ["ret"],
     [{goto: label}] or [{branch: [reg, nonzero, zero]}]) and carry no
-    predicate (always trivially false — [Opt] jobs compare outcome sets,
-    never the predicate).
+    predicate: [Opt] jobs compare outcome sets, never the predicate.
 
     Responses are one JSON object per line: ["id"], ["client"],
     ["status"] ("ok"|"shed"|"error"); ok responses add ["origin"]
@@ -61,12 +62,8 @@ val response_to_line : Engine.response -> string
 val find_test : string -> Armb_litmus.Lang.test option
 (** Case-insensitive catalogue lookup (shared with the CLI). *)
 
-val test_inline_to_json :
-  interesting_when:(string * int64) list -> Armb_litmus.Lang.test -> Json.t
-(** Serialize a test for a ["test_inline"] field.  The caller supplies
-    the declarative predicate — the closure itself cannot be serialized,
-    so the emitter must know the conjunction it was built from (the soak
-    generator does; pass [[]] for trivially-false fuzzer tests). *)
+val test_inline_to_json : Armb_litmus.Lang.test -> Json.t
+(** Serialize a test, predicate included, for a ["test_inline"] field. *)
 
 val test_inline_of_json : Json.t -> (Armb_litmus.Lang.test, string) result
 

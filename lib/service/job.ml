@@ -104,9 +104,9 @@ let key t =
   Key.digest (Buffer.contents b)
 
 (* A cheap structural identity hash for shard routing.  Unlike [key]
-   it does no canonicalization and no outcome enumeration — just the
-   spec's surface identity plus the run coordinates — so the router
-   can compute it per request without doing the job's work.  Jobs with
+   it does no canonicalization — just the spec's surface identity plus
+   the run coordinates — so the router can compute it per request
+   without doing the job's work.  Jobs with
    equal canonical keys route to the same shard whenever they share
    surface form (always true for requests built from the catalogue via
    the codec); a hand-built renamed variant may land on another shard,

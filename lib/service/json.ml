@@ -24,8 +24,7 @@ let escape_into b s =
     s;
   Buffer.add_char b '"'
 
-let to_string v =
-  let b = Buffer.create 256 in
+let to_buffer b v =
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (if x then "true" else "false")
@@ -56,7 +55,11 @@ let to_string v =
         fields;
       Buffer.add_char b '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
   Buffer.contents b
 
 (* ---------- parsing ---------- *)

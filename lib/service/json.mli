@@ -16,6 +16,9 @@ val to_string : t -> string
 (** Compact single-line rendering (strings escaped, no embedded
     newlines) — safe to emit as one NDJSON line. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} rendering to a buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Trailing garbage, unterminated strings
     and malformed numbers all yield [Error] with a position message. *)

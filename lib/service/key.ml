@@ -1,5 +1,4 @@
 module Lang = Armb_litmus.Lang
-module Enumerate = Armb_litmus.Enumerate
 
 (* Canonical renaming: shared variables in order of first appearance
    scanning threads in program order (variables referenced only by the
@@ -54,6 +53,29 @@ let build_maps (t : Lang.test) =
   List.iter (fun (v, _) -> see_var v) init_only;
   (vmap, rmaps)
 
+(* One instruction, its variable and register names mapped through
+   [var] and [reg]. *)
+let instr_text ~var:cv ~reg:cr = function
+  | Lang.Load { var; reg; acquire; addr_dep } ->
+    Printf.sprintf "L %s %s a%d d%s" (cv var) (cr reg)
+      (if acquire then 1 else 0)
+      (match addr_dep with Some r -> cr r | None -> "-")
+  | Lang.Store { var; v; release; addr_dep } ->
+    Printf.sprintf "S %s %s l%d d%s" (cv var)
+      (match v with Lang.Const k -> Printf.sprintf "c%Ld" k | Lang.Reg r -> cr r)
+      (if release then 1 else 0)
+      (match addr_dep with Some r -> cr r | None -> "-")
+  | Lang.Fence f -> "F " ^ Lang.fence_to_string f
+
+(* The predicate as one line, in its normal form: conjunct order and
+   repeats are presentation. *)
+let pred_line p =
+  match Lang.normalize p with
+  | Lang.Never -> "P never\n"
+  | Lang.All atoms ->
+    let atom (a : Lang.atom) = Printf.sprintf "%s %S %Ld" (Lang.op_name a) a.key a.value in
+    "P " ^ String.concat " & " (List.map atom atoms) ^ "\n"
+
 let canonical_test (t : Lang.test) =
   let vmap, rmaps = build_maps t in
   let cvar v = try Hashtbl.find vmap v with Not_found -> "v?" ^ v in
@@ -69,21 +91,7 @@ let canonical_test (t : Lang.test) =
       Buffer.add_string b (Printf.sprintf "T%d|" i);
       List.iter
         (fun instr ->
-          (match instr with
-          | Lang.Load { var; reg; acquire; addr_dep } ->
-            Buffer.add_string b
-              (Printf.sprintf "L %s %s a%d d%s" (cvar var) (creg i reg)
-                 (if acquire then 1 else 0)
-                 (match addr_dep with Some r -> creg i r | None -> "-"))
-          | Lang.Store { var; v; release; addr_dep } ->
-            Buffer.add_string b
-              (Printf.sprintf "S %s %s l%d d%s" (cvar var)
-                 (match v with
-                 | Lang.Const k -> Printf.sprintf "c%Ld" k
-                 | Lang.Reg r -> creg i r)
-                 (if release then 1 else 0)
-                 (match addr_dep with Some r -> creg i r | None -> "-"))
-          | Lang.Fence f -> Buffer.add_string b ("F " ^ Lang.fence_to_string f));
+          Buffer.add_string b (instr_text ~var:cvar ~reg:(creg i) instr);
           Buffer.add_char b ';')
         th;
       Buffer.add_char b '\n')
@@ -101,74 +109,25 @@ let canonical_test (t : Lang.test) =
   in
   List.iter (fun (cv, x) -> Buffer.add_string b (Printf.sprintf "I %s=%Ld\n" cv x)) inits;
   Buffer.add_string b (Printf.sprintf "E tso=%b wmm=%b\n" t.expect_tso t.expect_wmm);
-  (* predicate fingerprint: the [interesting] closure cannot be hashed,
-     but its extension over the reachable outcome set can — evaluate it
-     on every WMM-reachable outcome and serialize (renamed outcome,
-     verdict) pairs.  Renamed tests fingerprint identically; different
-     predicates over the same program cannot collide unless they agree
-     everywhere reachable (in which case the computations coincide). *)
-  let rename_binding (k, v) =
-    let canon =
-      match String.index_opt k ':' with
-      | Some colon -> (
-        let pre = String.sub k 0 colon in
-        let post = String.sub k (colon + 1) (String.length k - colon - 1) in
-        if pre = "mem" then "mem:" ^ cvar post
-        else
-          match int_of_string_opt pre with
-          | Some i -> Printf.sprintf "%d:%s" i (creg i post)
-          | None -> k)
-      | None -> k
-    in
-    (canon, v)
+  (* the predicate, its keys renamed with the program *)
+  let rename k =
+    match Lang.binding_of_key k with
+    | Some (Lang.Mem_var v) -> "mem:" ^ cvar v
+    | Some (Lang.Thread_reg (i, r)) -> Printf.sprintf "%d:%s" i (creg i r)
+    | None -> k
   in
-  let fp =
-    List.map
-      (fun outcome ->
-        let lookup r =
-          match List.assoc_opt r outcome with Some v -> v | None -> 0L
-        in
-        let verdict = t.interesting lookup in
-        let renamed = List.sort compare (List.map rename_binding outcome) in
-        Printf.sprintf "O %s -> %b" (Enumerate.outcome_to_string renamed) verdict)
-      (Enumerate.enumerate Enumerate.Wmm t)
-    |> List.sort compare
-  in
-  List.iter
-    (fun line ->
-      Buffer.add_string b line;
-      Buffer.add_char b '\n')
-    fp;
+  Buffer.add_string b (pred_line (Lang.map_keys rename t.interesting));
   Buffer.contents b
 
 module Cfg = Armb_litmus.Cfg
 
-(* CFG programs are keyed structurally — surface names and all.  Unlike
-   [canonical_test] there is no renaming pass and no predicate
-   fingerprint: every program that reaches the service was built by the
-   codec, which only constructs programs with the trivially-false
-   predicate, so two structurally-equal programs always denote the same
-   computation, and a renamed variant merely misses the cache (costs a
+(* CFG programs are keyed structurally — surface names and all, with
+   no renaming pass: a renamed variant merely misses the cache (costs a
    recomputation, never a wrong coalesce). *)
 let canonical_program (p : Cfg.program) =
   let b = Buffer.create 512 in
-  let add_instr i (instr : Lang.instr) =
-    ignore i;
-    (match instr with
-    | Lang.Load { var; reg; acquire; addr_dep } ->
-      Buffer.add_string b
-        (Printf.sprintf "L %s %s a%d d%s" var reg
-           (if acquire then 1 else 0)
-           (match addr_dep with Some r -> r | None -> "-"))
-    | Lang.Store { var; v; release; addr_dep } ->
-      Buffer.add_string b
-        (Printf.sprintf "S %s %s l%d d%s" var
-           (match v with
-           | Lang.Const k -> Printf.sprintf "c%Ld" k
-           | Lang.Reg r -> r)
-           (if release then 1 else 0)
-           (match addr_dep with Some r -> r | None -> "-"))
-    | Lang.Fence f -> Buffer.add_string b ("F " ^ Lang.fence_to_string f));
+  let add_instr instr =
+    Buffer.add_string b (instr_text ~var:Fun.id ~reg:Fun.id instr);
     Buffer.add_char b ';'
   in
   List.iteri
@@ -177,7 +136,7 @@ let canonical_program (p : Cfg.program) =
       List.iter
         (fun (blk : Cfg.block) ->
           Buffer.add_string b (Printf.sprintf "B %s|" blk.Cfg.label);
-          List.iter (add_instr i) blk.Cfg.body;
+          List.iter add_instr blk.Cfg.body;
           (match blk.Cfg.term with
           | Cfg.Goto l -> Buffer.add_string b ("goto " ^ l)
           | Cfg.Branch { reg; if_nonzero; if_zero } ->
@@ -192,6 +151,7 @@ let canonical_program (p : Cfg.program) =
     (List.sort compare p.Cfg.init);
   Buffer.add_string b
     (Printf.sprintf "E tso=%b wmm=%b\n" p.Cfg.expect_tso p.Cfg.expect_wmm);
+  Buffer.add_string b (pred_line p.Cfg.interesting);
   Buffer.contents b
 
 let digest s = Digest.to_hex (Digest.string s)

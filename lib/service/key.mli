@@ -7,14 +7,17 @@
     normal form that is invariant under
 
     - renaming registers (per thread) and shared variables,
-    - permuting the [init] binding list, and
-    - dropping/adding explicit [= 0] initial bindings,
+    - permuting the [init] binding list,
+    - dropping/adding explicit [= 0] initial bindings, and
+    - reordering or repeating the predicate's atoms,
 
     while still separating genuinely different programs: the
     instruction sequences, fences, dependency shapes, initial values,
-    model expectations and the {e extensional} behaviour of the outcome
-    predicate (evaluated over every WMM-reachable outcome, with renamed
-    bindings) all feed the serialization.
+    model expectations and the outcome predicate (its atoms, keys
+    renamed with the program) all feed the serialization.  Predicates
+    are keyed by their syntax, so two that are written differently but
+    agree on every reachable outcome only miss the cache; they can
+    never coalesce wrongly.
 
     The job key then appends the non-test coordinates that change the
     computation's result: platform, core binding, seed, trial count,
@@ -22,15 +25,13 @@
 
 val canonical_test : Armb_litmus.Lang.test -> string
 (** Name-independent canonical serialization of a litmus test,
-    including the predicate fingerprint. *)
+    predicate included. *)
 
 val canonical_program : Armb_litmus.Cfg.program -> string
 (** Structural serialization of a CFG program (blocks, terminators,
-    sorted init, expectation flags) for keying [Opt] jobs.  No renaming
-    pass and no predicate fingerprint: codec-built programs always carry
-    the trivially-false predicate, so structural equality implies
-    computational equality; a hand-renamed variant only misses the
-    cache, it can never coalesce wrongly. *)
+    sorted init, expectation flags, predicate) for keying [Opt] jobs.
+    No renaming pass: a hand-renamed variant only misses the cache, it
+    can never coalesce wrongly. *)
 
 val digest : string -> string
 (** Hex MD5 of a canonical serialization — the content address. *)

@@ -1,8 +1,12 @@
 module Rng = Armb_sim.Rng
 
-let emit oc (r : Engine.response) =
-  output_string oc (Codec.response_to_line r);
-  output_char oc '\n'
+let emitter oc =
+  let b = Buffer.create 4096 in
+  fun (r : Engine.response) ->
+    Buffer.clear b;
+    Json.to_buffer b (Codec.response_to_json r);
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b
 
 (* ---------- streaming mode ---------- *)
 
@@ -14,6 +18,7 @@ let emit oc (r : Engine.response) =
    serve is a prefix of the unbounded one: same responses, same order,
    truncated input. *)
 let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
+  let emit = emitter oc in
   let lineno = ref 0 in
   let accepted = ref 0 in
   let clock = Clock.create () in
@@ -24,7 +29,7 @@ let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
        | Some d -> float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 >= d
        | None -> false
   in
-  let drain () = List.iter (emit oc) (Engine.drain engine) in
+  let drain () = List.iter emit (Engine.drain engine) in
   (try
      while not (hit_bound ()) do
        let line = input_line ic in
@@ -33,7 +38,7 @@ let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
          incr accepted;
          (match Codec.request_of_line ~default_id:(string_of_int !lineno) line with
          | Error e ->
-           emit oc
+           emit
              {
                Engine.id = string_of_int !lineno;
                client = "anon";
@@ -41,7 +46,7 @@ let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
              }
          | Ok req -> (
            match Engine.submit engine req with
-           | Some resp -> emit oc resp
+           | Some resp -> emit resp
            | None -> ()));
          flush oc;
          if Engine.pending engine >= drain_every then begin

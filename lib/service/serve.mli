@@ -4,6 +4,12 @@
     smoke and the perf harness share, and the warm-vs-cold comparison
     that verifies the cache instead of trusting it. *)
 
+val emitter : out_channel -> Engine.response -> unit
+(** [emitter oc] writes one response line per call to [oc].  Every
+    line is rendered into one reused buffer: a fresh string per
+    response would leave each long result line (over 2 KiB) as garbage
+    in the major heap, which raises a server's peak memory. *)
+
 val serve :
   ?drain_every:int ->
   ?max_requests:int ->

@@ -2,8 +2,8 @@
 
    One router (the caller's domain) parses NDJSON lines, hashes each
    job's surface form ({!Job.route_hash} — cheap, none of the canonical
-   key's outcome enumeration) and routes it through a consistent-hash
-   ring to one of N worker domains.  Each worker owns a private
+   key's renaming) and routes it through a consistent-hash ring to one
+   of N worker domains.  Each worker owns a private
    {!Engine.t}, so the memo cache, the coalesce table and the scheduler
    lanes are partitioned by job hash and shards share no mutable job
    state — the hot path needs no lock at all.  The expensive per-request
@@ -363,10 +363,7 @@ let run_batch t ~lines =
    still drains to a response before return. *)
 let serve ?max_requests ?duration_s t ic oc =
   ensure_live t "Shard.serve";
-  let emit (r : Engine.response) =
-    output_string oc (Codec.response_to_line r);
-    output_char oc '\n'
-  in
+  let emit = Serve.emitter oc in
   let adm = admission_create () in
   let tracked : (int, int * bool) Hashtbl.t = Hashtbl.create 256 in
   let drained = ref 0 in

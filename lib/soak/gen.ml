@@ -35,60 +35,57 @@ type entry = {
 
 (* ---------- fix skeletons ---------- *)
 
-(* Unfenced two-thread communication shapes with real (declarative)
-   weak-outcome predicates.  Unlike fuzzed tests — whose trivially
-   false predicate makes every fix job a no-op — these give the
-   synthesizer genuine work with a guaranteed-reachable repair:
-   the catalogue's own fenced variants witness that a <=2-edit
-   sufficient set exists for each shape. *)
+(* Unfenced two-thread communication shapes with real weak-outcome
+   predicates.  Unlike fuzzed tests — whose trivially false predicate
+   makes every fix job a no-op — these give the synthesizer genuine
+   work with a guaranteed-reachable repair: the catalogue's own fenced
+   variants witness that a <=2-edit sufficient set exists for each
+   shape. *)
 let mp_skeleton v =
-  ( {
-      Lang.name = Printf.sprintf "soak-mp-%d" v;
-      description = "unfenced message passing; repair must forbid stale data";
-      init = [ ("data", 0L); ("flag", 0L) ];
-      threads =
-        [
-          [ Lang.st "data" (Int64.of_int v); Lang.st "flag" 1L ];
-          [ Lang.ld "flag" "r1"; Lang.ld "data" "r2" ];
-        ];
-      interesting = (fun o -> o "1:r1" = 1L && o "1:r2" = 0L);
-      expect_tso = false;
-      expect_wmm = false;
-    },
-    [ ("1:r1", 1L); ("1:r2", 0L) ] )
+  {
+    Lang.name = Printf.sprintf "soak-mp-%d" v;
+    description = "unfenced message passing; repair must forbid stale data";
+    init = [ ("data", 0L); ("flag", 0L) ];
+    threads =
+      [
+        [ Lang.st "data" (Int64.of_int v); Lang.st "flag" 1L ];
+        [ Lang.ld "flag" "r1"; Lang.ld "data" "r2" ];
+      ];
+    interesting = Lang.All [ Lang.eq "1:r1" 1L; Lang.eq "1:r2" 0L ];
+    expect_tso = false;
+    expect_wmm = false;
+  }
 
 let sb_skeleton v =
-  ( {
-      Lang.name = Printf.sprintf "soak-sb-%d" v;
-      description = "unfenced store buffering; repair must forbid both-stale reads";
-      init = [ ("x", 0L); ("y", 0L) ];
-      threads =
-        [
-          [ Lang.st "x" (Int64.of_int v); Lang.ld "y" "r1" ];
-          [ Lang.st "y" (Int64.of_int v); Lang.ld "x" "r1" ];
-        ];
-      interesting = (fun o -> o "0:r1" = 0L && o "1:r1" = 0L);
-      expect_tso = false;
-      expect_wmm = false;
-    },
-    [ ("0:r1", 0L); ("1:r1", 0L) ] )
+  {
+    Lang.name = Printf.sprintf "soak-sb-%d" v;
+    description = "unfenced store buffering; repair must forbid both-stale reads";
+    init = [ ("x", 0L); ("y", 0L) ];
+    threads =
+      [
+        [ Lang.st "x" (Int64.of_int v); Lang.ld "y" "r1" ];
+        [ Lang.st "y" (Int64.of_int v); Lang.ld "x" "r1" ];
+      ];
+    interesting = Lang.All [ Lang.eq "0:r1" 0L; Lang.eq "1:r1" 0L ];
+    expect_tso = false;
+    expect_wmm = false;
+  }
 
 let lb_skeleton v =
-  ( {
-      Lang.name = Printf.sprintf "soak-lb-%d" v;
-      description = "unfenced load buffering; repair must forbid the causality loop";
-      init = [ ("x", 0L); ("y", 0L) ];
-      threads =
-        [
-          [ Lang.ld "x" "r1"; Lang.st "y" (Int64.of_int v) ];
-          [ Lang.ld "y" "r1"; Lang.st "x" (Int64.of_int v) ];
-        ];
-      interesting =
-        (fun o -> o "0:r1" = Int64.of_int v && o "1:r1" = Int64.of_int v);
-      expect_tso = false;
-      expect_wmm = false;
-    },
-    [ ("0:r1", Int64.of_int v); ("1:r1", Int64.of_int v) ] )
+  {
+    Lang.name = Printf.sprintf "soak-lb-%d" v;
+    description = "unfenced load buffering; repair must forbid the causality loop";
+    init = [ ("x", 0L); ("y", 0L) ];
+    threads =
+      [
+        [ Lang.ld "x" "r1"; Lang.st "y" (Int64.of_int v) ];
+        [ Lang.ld "y" "r1"; Lang.st "x" (Int64.of_int v) ];
+      ];
+    interesting =
+      Lang.All [ Lang.eq "0:r1" (Int64.of_int v); Lang.eq "1:r1" (Int64.of_int v) ];
+    expect_tso = false;
+    expect_wmm = false;
+  }
 
 (* ---------- the pool ---------- *)
 
@@ -152,14 +149,14 @@ let fix_entries () =
   List.concat_map
     (fun v ->
       List.map
-        (fun (t, conds) ->
+        (fun t ->
           {
             kind = "fix";
             expect = Invariant.Fix_must_repair;
             fields =
               [
                 ("kind", Json.Str "fix");
-                ("test_inline", Codec.test_inline_to_json ~interesting_when:conds t);
+                ("test_inline", Codec.test_inline_to_json t);
                 ("max_edits", Json.Int 2);
                 ("budget", Json.Int 1500);
                 ("trials", Json.Int 10);

@@ -21,19 +21,18 @@ let accesses instrs =
 let init_of t var =
   match List.assoc_opt var t.Lang.init with Some v -> v | None -> 0L
 
-(* Probe the opaque [interesting] predicate with a fabricated outcome:
-   the consumer's two registers get the given values, final memory gets
-   the published values (every complete execution performs both
-   stores). *)
-let probe t ~consumer ~flag_reg ~data_reg ~shape (flag_v, data_v) =
-  let lookup key =
-    if key = Printf.sprintf "%d:%s" consumer flag_reg then flag_v
-    else if key = Printf.sprintf "%d:%s" consumer data_reg then data_v
-    else if key = "mem:" ^ shape.data_var then shape.data_val
-    else if key = "mem:" ^ shape.flag_var then shape.flag_val
-    else 0L
-  in
-  t.Lang.interesting lookup
+(* The MP question asked structurally, on the predicate's normal form:
+   exactly two distinct atoms, in either order — the flag register
+   equals the published flag, and the data register either differs
+   from the published data or still holds its initial value. *)
+let asks_mp t ~consumer ~flag_reg ~data_reg ~flag_val ~data_val ~data_init =
+  let flag_key = Printf.sprintf "%d:%s" consumer flag_reg
+  and data_key = Printf.sprintf "%d:%s" consumer data_reg in
+  let is_flag a = a = Lang.eq flag_key flag_val
+  and is_stale a = a = Lang.ne data_key data_val || a = Lang.eq data_key data_init in
+  match Lang.normalize t.Lang.interesting with
+  | Lang.All [ a; b ] -> (is_flag a && is_stale b) || (is_flag b && is_stale a)
+  | _ -> false
 
 let detect_pair t ~producer ~consumer =
   let pt = accesses (List.nth t.Lang.threads producer) in
@@ -47,19 +46,13 @@ let detect_pair t ~producer ~consumer =
         Lang.Load { var = lv1; reg = flag_reg; _ };
         Lang.Load { var = lv2; reg = data_reg; _ };
       ] )
-    when data_var <> flag_var && lv1 = flag_var && lv2 = data_var ->
+    when data_var <> flag_var && lv1 = flag_var && lv2 = data_var && flag_reg <> data_reg ->
     let data_init = init_of t data_var and flag_init = init_of t flag_var in
-    let shape = { data_var; flag_var; data_val; flag_val; producer; consumer } in
     if
       List.for_all fits_u32 [ data_val; flag_val; data_init; flag_init ]
       && flag_val <> flag_init && data_val <> data_init
-      (* behavioural confirmation: stale-data-after-flag is the (only)
-         interesting outcome among the four MP corners *)
-      && probe t ~consumer ~flag_reg ~data_reg ~shape (flag_val, data_init)
-      && (not (probe t ~consumer ~flag_reg ~data_reg ~shape (flag_val, data_val)))
-      && (not (probe t ~consumer ~flag_reg ~data_reg ~shape (flag_init, data_init)))
-      && not (probe t ~consumer ~flag_reg ~data_reg ~shape (flag_init, data_val))
-    then Some shape
+      && asks_mp t ~consumer ~flag_reg ~data_reg ~flag_val ~data_val ~data_init
+    then Some { data_var; flag_var; data_val; flag_val; producer; consumer }
     else None
   | _ -> None
 
@@ -96,7 +89,6 @@ let rewrite t =
           else [ Lang.ld w reg ])
         t.Lang.threads
     in
-    let flag_val = s.flag_val and data_val = s.data_val in
     let rewritten =
       {
         Lang.name = t.Lang.name ^ "+pilot";
@@ -108,10 +100,11 @@ let rewrite t =
         init = [ (w, pack ~flag:flag_init ~data:data_init) ];
         threads;
         interesting =
-          (fun o ->
-            let v = o consumer_key in
-            Int64.shift_right_logical v 32 = flag_val
-            && Int64.logand v mask32 <> data_val);
+          Lang.All
+            [
+              Lang.eq ~part:Lang.Hi consumer_key s.flag_val;
+              Lang.ne ~part:Lang.Lo consumer_key s.data_val;
+            ];
         expect_tso = false;
         expect_wmm = false;
       }

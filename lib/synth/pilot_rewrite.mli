@@ -7,12 +7,12 @@
     data and flag together, so the repaired test needs {e no} ordering
     device at all: a single plain store against a single plain load.
 
-    Detection is structural on the threads plus behavioural on the
-    [interesting] predicate: the predicate is an opaque function, so it
-    is probed with four fabricated outcomes (stale-data-after-flag must
-    be interesting; fully-ordered, nothing-seen and data-only-seen must
-    not) to confirm the test really asks the MP question before the
-    rewrite claims it. *)
+    Detection is structural on both the threads and the [interesting]
+    predicate.  The predicate's normal form
+    ({!Armb_litmus.Lang.normalize}, the form {!Armb_service.Key} keys)
+    must be exactly the MP question, two atoms in either order: the
+    flag register equals the published flag, and the data register
+    differs from the published data or equals its initial value. *)
 
 module Lang = Armb_litmus.Lang
 
@@ -27,17 +27,18 @@ type shape = {
 
 val detect : Lang.test -> shape option
 (** [None] unless the test is two-threaded MP with constant stores,
-    distinct variables, 32-bit-representable values and an
-    MP-interesting predicate (probed as described above).  Existing
-    fences / acquire-release / dependencies on either side are ignored:
+    distinct variables and registers, 32-bit-representable values and
+    an MP predicate (matched as described above).  Existing fences /
+    acquire-release / dependencies on either side are ignored:
     the rewrite replaces the whole communication pattern. *)
 
 val rewrite : Lang.test -> (shape * Lang.test) option
 (** The packed single-word test, named ["<name>+pilot"].  Its
     [interesting] predicate is the packed translation of the weak
-    outcome (flag half set, data half stale), and its expectations are
-    forbidden-everywhere — which {!Armb_litmus.Enumerate} re-verifies
-    downstream, the rewrite is not trusted blindly. *)
+    outcome (high half equals the flag, low half differs from the
+    data), and its expectations are forbidden-everywhere — which
+    {!Armb_litmus.Enumerate} re-verifies downstream, the rewrite is not
+    trusted blindly. *)
 
 val word_var : string
 (** Name of the packed variable (["word"], suffixed if the test already

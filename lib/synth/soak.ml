@@ -67,7 +67,7 @@ let shaped_skeleton rng =
     description = "randomized two-thread communication skeleton";
     init = [ ("x", 0L); ("y", 0L) ];
     threads;
-    interesting = (fun _ -> false);
+    interesting = Lang.Never;
     expect_tso = false;
     expect_wmm = false;
   }

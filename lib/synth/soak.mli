@@ -7,13 +7,13 @@
     recovers the skeleton, so the repairer is asked to win back a
     minimal subset of exactly what was injected.
 
-    Random tests have a trivially-false [interesting] predicate, so
-    soundness here is {e behaviour preservation}: the repaired test's
-    WMM-enumerated outcome set must be a subset of the armed test's.
-    Soundness is monotone in the edit set (ordering devices only remove
-    outcomes), so a sufficient repair within [max_edits] edits always
-    exists — a complete search that finds none is itself a fatal
-    finding.
+    Random tests carry the trivially-false predicate ([Lang.Never]),
+    so soundness here is {e behaviour preservation}: the repaired
+    test's WMM-enumerated outcome set must be a subset of the armed
+    test's.  Soundness is monotone in the edit set (ordering devices
+    only remove outcomes), so a sufficient repair within [max_edits]
+    edits always exists — a complete search that finds none is itself
+    a fatal finding.
 
     Hard failures are {e unsound} repairs (outcome set not a subset),
     {e redundant} repairs (a reported set survives dropping an edit),

@@ -30,8 +30,7 @@ let rc ?(seed = 42) ?(trials = 40) () = RC.make ~seed ~trials P.kunpeng916
 (* ---------- canonical keys ---------- *)
 
 (* A consistent injective renaming of every shared variable and
-   register, with the outcome predicate wrapped so it keeps working
-   over the renamed bindings.  Canonicalization must erase it. *)
+   register, predicate keys included.  Canonicalization must erase it. *)
 let rename_test (t : Lang.test) =
   let rv v = "q_" ^ v in
   let rr r = "z" ^ r in
@@ -50,11 +49,9 @@ let rename_test (t : Lang.test) =
     | Lang.Fence f -> Lang.Fence f
   in
   let rename_key k =
-    match String.index_opt k ':' with
-    | Some i ->
-      let pre = String.sub k 0 i in
-      let post = String.sub k (i + 1) (String.length k - i - 1) in
-      if pre = "mem" then "mem:" ^ rv post else pre ^ ":" ^ rr post
+    match Lang.binding_of_key k with
+    | Some (Lang.Mem_var v) -> "mem:" ^ rv v
+    | Some (Lang.Thread_reg (i, r)) -> Printf.sprintf "%d:%s" i (rr r)
     | None -> k
   in
   {
@@ -62,7 +59,7 @@ let rename_test (t : Lang.test) =
     Lang.name = t.Lang.name ^ "-renamed";
     init = List.map (fun (v, x) -> (rv v, x)) t.Lang.init;
     threads = List.map (List.map rinstr) t.Lang.threads;
-    interesting = (fun lookup -> t.Lang.interesting (fun k -> lookup (rename_key k)));
+    interesting = Lang.map_keys rename_key t.Lang.interesting;
   }
 
 let test_key_rename_invariant () =
@@ -111,15 +108,43 @@ let test_key_catalogue_distinct () =
         keys)
     keys
 
-(* Fuzz skeletons: canonicalization is rename-invariant and
+(* A random conjunction over the test's registers and variables, so the
+   fuzz property below exercises predicate keys too. *)
+let random_pred rng (t : Lang.test) =
+  let keys =
+    List.concat
+      (List.mapi
+         (fun th instrs ->
+           List.map (fun r -> Printf.sprintf "%d:%s" th r) (Lang.regs_of_thread instrs))
+         t.Lang.threads)
+    @ List.map (fun v -> "mem:" ^ v) (Lang.vars t)
+  in
+  let atom k =
+    let part = [| Lang.Word; Lang.Hi; Lang.Lo |].(Rng.int rng 3) in
+    let v = Int64.of_int (Rng.int rng 3) in
+    if Rng.bool rng then Lang.eq ~part k v else Lang.ne ~part k v
+  in
+  Lang.All (List.filter_map (fun k -> if Rng.int rng 3 = 0 then Some (atom k) else None) keys)
+
+(* Fuzz skeletons with random predicates: canonicalization is
+   rename-invariant, blind to conjunct order and repeated atoms, and
    collision-free over a stream of random tests. *)
 let prop_fuzz_keys =
   QCheck.Test.make ~name:"random tests: rename-invariant, distinct keys" ~count:40
     QCheck.small_int (fun salt ->
       let rng = Rng.create (1000 + salt) in
-      let a = Fuzz.generate rng in
-      let b = Fuzz.generate rng in
+      let with_pred (t : Lang.test) = { t with Lang.interesting = random_pred rng t } in
+      let a = with_pred (Fuzz.generate rng) in
+      let b = with_pred (Fuzz.generate rng) in
+      let shuffled =
+        match a.Lang.interesting with
+        | Lang.All atoms ->
+          Lang.All (List.rev atoms @ List.filteri (fun i _ -> i mod 2 = 0) atoms)
+        | Lang.Never -> Lang.Never
+      in
       Key.canonical_test a = Key.canonical_test (rename_test a)
+      && Key.canonical_test a
+         = Key.canonical_test (rename_test { a with Lang.interesting = shuffled })
       && (Key.canonical_test a = Key.canonical_test b
           || Key.digest (Key.canonical_test a) <> Key.digest (Key.canonical_test b)))
 
@@ -445,6 +470,56 @@ let test_codec_errors () =
   bad "bad priority" {|{"kind":"litmus","test":"SB","priority":"urgent"}|};
   bad "bad platform" {|{"kind":"litmus","test":"SB","platform":"m1"}|};
   bad "not json" {|{"kind":|}
+
+(* A predicate key no outcome can hold would silently read 0, so the
+   decoder rejects it and the service answers with an error row. *)
+let test_codec_predicate_keys () =
+  let line keys =
+    Printf.sprintf
+      ({|{"id":"p","kind":"litmus","trials":4,"test_inline":{"name":"mp","threads":|}
+      ^^ {|[[{"op":"st","var":"x","const":1}],[{"op":"ld","var":"x","reg":"r1"}]],|}
+      ^^ {|"interesting":[%s]}}|})
+      (String.concat "," (List.map (Printf.sprintf {|["%s","=",0]|}) keys))
+  in
+  (match (Serve.run_batch (Engine.create ()) ~lines:[ line [ "banana" ] ]).Serve.responses with
+  | [ { Engine.reply = Engine.Error _; _ } ] -> ()
+  | _ -> Alcotest.fail "an unknown predicate key must yield an error response");
+  List.iter
+    (fun k ->
+      match Codec.request_of_line (line [ "1:r1"; k ]) with
+      | Ok _ -> Alcotest.failf "predicate key %S should be rejected" k
+      | Error _ -> ())
+    [ "banana"; "2:r1"; "-1:r1"; "01:r1"; ":r1"; "1:"; "mem:"; "memx:y" ];
+  match Codec.request_of_line (line [ "1:r1"; "0:r9"; "mem:x"; "mem:y" ]) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("well-formed predicate keys rejected: " ^ e)
+
+(* Repeated atoms are presentation, so both spellings of MP's question
+   share one key and must get the same answer — each computed on its
+   own engine, so no cache can hide a difference. *)
+let test_fix_predicate_spellings () =
+  let answer interesting =
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("id", Json.Str "f");
+             ("kind", Json.Str "fix");
+             ("test_inline", Codec.test_inline_to_json { Cat.mp with Lang.interesting });
+             ("max_edits", Json.Int 2);
+             ("budget", Json.Int 1500);
+             ("trials", Json.Int 10);
+             ("seed", Json.Int 42);
+           ])
+    in
+    match (Serve.run_batch (Engine.create ()) ~lines:[ line ]).Serve.responses with
+    | [ { Engine.reply = Engine.Result { key; result; _ }; _ } ] -> (key, result.Job.text)
+    | _ -> Alcotest.fail "expected one fix result"
+  in
+  let flag = Lang.eq "1:r1" 1L and stale = Lang.ne "1:r2" 23L in
+  let plain = answer (Lang.All [ flag; stale ]) in
+  check Alcotest.(pair string string) "repeated atom: same key and fix response" plain
+    (answer (Lang.All [ stale; flag; flag ]))
 
 let test_response_line_parses () =
   let e = Engine.create () in
@@ -859,6 +934,9 @@ let () =
         [
           Alcotest.test_case "request round trip" `Quick test_codec_roundtrip;
           Alcotest.test_case "request errors" `Quick test_codec_errors;
+          Alcotest.test_case "predicate keys validated" `Quick test_codec_predicate_keys;
+          Alcotest.test_case "predicate spellings answer alike" `Quick
+            test_fix_predicate_spellings;
           Alcotest.test_case "response line parses" `Quick test_response_line_parses;
           Alcotest.test_case "json parser" `Quick test_json_parser;
           Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;

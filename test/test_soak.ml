@@ -7,6 +7,7 @@
 module Lang = Armb_litmus.Lang
 module Cat = Armb_litmus.Catalogue
 module Fuzz = Armb_litmus.Fuzz
+module Enumerate = Armb_litmus.Enumerate
 module Rng = Armb_sim.Rng
 module Json = Armb_service.Json
 module Key = Armb_service.Key
@@ -75,54 +76,30 @@ let test_small_pool_still_mixes () =
 
 (* ---------- inline wire codecs ---------- *)
 
-(* The canonical key has two parts: the structural lines (threads,
-   init, expectations) and the predicate-probing "O ..." lines.  A
-   round trip with a synthetic predicate must preserve the former; the
-   latter only when the declared conjunction IS the test's original
-   predicate (SB and LB below). *)
-let structural_key t =
-  Key.canonical_test t
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l > 1 && l.[0] = 'O' && l.[1] = ' '))
-  |> String.concat "\n"
-
+(* Every catalogue test — MP+pilot's half-word atoms included —
+   survives the wire: same full canonical key, same WMM verdict, and
+   serialize(parse(j)) = j. *)
 let test_inline_test_round_trip () =
-  let conds = [ ("0:r1", 1L) ] in
   List.iter
     (fun (t : Lang.test) ->
-      let j = Codec.test_inline_to_json ~interesting_when:conds t in
+      let j = Codec.test_inline_to_json t in
       match Codec.test_inline_of_json j with
       | Error e -> Alcotest.fail (t.Lang.name ^ ": inline test does not parse: " ^ e)
       | Ok t' ->
         check Alcotest.string (t.Lang.name ^ ": name survives") t.Lang.name
           t'.Lang.name;
         check Alcotest.string
-          (t.Lang.name ^ ": structural key survives the round trip")
-          (structural_key t) (structural_key t');
-        (* and the rendering is a fixpoint: serialize(parse(j)) = j *)
+          (t.Lang.name ^ ": canonical key survives the round trip")
+          (Key.canonical_test t) (Key.canonical_test t');
+        check Alcotest.bool
+          (t.Lang.name ^ ": WMM verdict survives the round trip")
+          (Enumerate.allows Enumerate.Wmm t)
+          (Enumerate.allows Enumerate.Wmm t');
         check Alcotest.string
           (t.Lang.name ^ ": serialization fixpoint")
           (Json.to_string j)
-          (Json.to_string (Codec.test_inline_to_json ~interesting_when:conds t')))
-    (List.filteri (fun i _ -> i < 8) Cat.all);
-  (* with the true predicate declared, the FULL canonical key (probing
-     lines included) survives — wire semantics = closure semantics *)
-  List.iter
-    (fun (name, conds) ->
-      match Codec.find_test name with
-      | None -> Alcotest.fail ("catalogue test missing: " ^ name)
-      | Some t -> (
-        let j = Codec.test_inline_to_json ~interesting_when:conds t in
-        match Codec.test_inline_of_json j with
-        | Error e -> Alcotest.fail (name ^ ": inline test does not parse: " ^ e)
-        | Ok t' ->
-          check Alcotest.string
-            (name ^ ": full canonical key survives with the true predicate")
-            (Key.canonical_test t) (Key.canonical_test t')))
-    [
-      ("SB", [ ("0:r1", 0L); ("1:r1", 0L) ]);
-      ("LB", [ ("0:r1", 1L); ("1:r1", 1L) ]);
-    ]
+          (Json.to_string (Codec.test_inline_to_json t')))
+    Cat.all
 
 let test_inline_program_round_trip () =
   let rng = Rng.create 77 in

@@ -192,7 +192,7 @@ let lb_ls =
             [ Lang.ld "x" "r1"; Lang.st "y" 2L ];
             [ Lang.ld "y" "r1"; Lang.st ~addr_dep:"r1" "x" 3L ];
           ];
-        interesting = (fun o -> o "0:r1" = 3L && o "1:r1" = 2L);
+        interesting = Lang.All [ Lang.eq "0:r1" 3L; Lang.eq "1:r1" 2L ];
       };
     device_thread = 0;
     from_ = Advisor.From_load;
@@ -350,7 +350,18 @@ let test_pilot_detects_mp () =
           (t.Lang.name ^ ": single shared word")
           1
           (List.length rewritten.Lang.init))
-    [ Cat.mp_dmb; Cat.mp_acq_rel; Cat.mp_addr_dep ]
+    [ Cat.mp_dmb; Cat.mp_acq_rel; Cat.mp_addr_dep ];
+  (* either spelling of stale data, conjuncts in either order or repeated *)
+  List.iter
+    (fun interesting ->
+      check Alcotest.bool "MP predicate matched" true
+        (Pilot.detect { Cat.mp with Lang.interesting } <> None))
+    [
+      Lang.All [ Lang.ne "1:r2" 23L; Lang.eq "1:r1" 1L ];
+      Lang.All [ Lang.eq "1:r1" 1L; Lang.eq "1:r2" 0L ];
+      Lang.All [ Lang.eq "1:r2" 0L; Lang.eq "1:r1" 1L ];
+      Lang.All [ Lang.eq "1:r1" 1L; Lang.ne "1:r2" 23L; Lang.eq "1:r1" 1L ];
+    ]
 
 let test_pilot_rejects_non_mp () =
   List.iter
@@ -359,8 +370,8 @@ let test_pilot_rejects_non_mp () =
       | Some _ -> Alcotest.failf "%s: claimed MP-shaped" t.Lang.name
       | None -> ())
     [ Cat.sb; Cat.lb; Cat.coherence; Cat.two_plus_two_w ];
-  (* right shape, wrong question: predicate probing must reject *)
-  let not_mp = { Cat.mp with Lang.interesting = (fun o -> o "1:r2" = 23L) } in
+  (* right shape, wrong question: the predicate match must reject *)
+  let not_mp = { Cat.mp with Lang.interesting = Lang.All [ Lang.eq "1:r2" 23L ] } in
   check Alcotest.bool "wrong predicate rejected" true (Pilot.detect not_mp = None);
   (* values that do not fit 32 bits cannot be packed *)
   let wide =
@@ -371,7 +382,7 @@ let test_pilot_rejects_non_mp () =
           [ Lang.st "data" 0x1_0000_0000L; Lang.st "flag" 1L ];
           [ Lang.ld "flag" "r1"; Lang.ld "data" "r2" ];
         ];
-      interesting = (fun o -> o "1:r1" = 1L && o "1:r2" <> 0x1_0000_0000L);
+      interesting = Lang.All [ Lang.eq "1:r1" 1L; Lang.ne "1:r2" 0x1_0000_0000L ];
     }
   in
   check Alcotest.bool "wide values rejected" true (Pilot.detect wide = None)
