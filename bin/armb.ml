@@ -914,8 +914,10 @@ let serve_cmd =
   let drain_every =
     Arg.(value & opt int 16
          & info [ "drain-every" ] ~docv:"N"
-             ~doc:"Streaming mode: run queued computations whenever N are pending \
-                   (and at end of input).")
+             ~doc:"Streaming mode: run queued computations as soon as no further \
+                   input line is ready, whenever N are pending under sustained \
+                   input, and at end of input.  With $(b,--domains), the \
+                   threshold per shard.")
   in
   let max_requests =
     Arg.(value & opt (some int) None
@@ -929,8 +931,8 @@ let serve_cmd =
     Arg.(value & opt (some float) None
          & info [ "duration" ] ~docv:"SECONDS"
              ~doc:"Streaming mode: stop accepting input after SECONDS of wall \
-                   clock, with the same drain-then-exit semantics as \
-                   $(b,--max-requests).")
+                   clock, even while the input is idle, with the same \
+                   drain-then-exit semantics as $(b,--max-requests).")
   in
   let run no_cache queue_bound cache_cap drain_every max_requests duration domains
       batch_file metrics_out =

@@ -10,54 +10,75 @@ let emitter oc =
 
 (* ---------- streaming mode ---------- *)
 
-(* Shutdown drain semantics: whichever bound fires first (EOF,
+type backend = {
+  accept : lineno:int -> Engine.request -> unit;
+  answer : idle:bool -> float;
+  finish : unit -> unit;
+}
+
+(* One loop for both backends.  It reads a line only when one is ready
+   while an answer is pending ([answer] returned 0), and otherwise
+   blocks on input for as long as [answer] allows, capped by the time
+   left before [duration_s].  Output is flushed before every blocking
+   wait and after every idle step, not after every line.
+
+   Shutdown drain semantics: whichever bound fires first (EOF,
    [max_requests] accepted request lines, or [duration_s] of wall
-   clock), the loop stops *reading* but never stops *answering* —
-   every request already accepted is drained to a response before the
-   stream closes, and unread input is simply left unread.  So a bounded
-   serve is a prefix of the unbounded one: same responses, same order,
-   truncated input. *)
-let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
+   clock), the loop stops *reading* but never stops *answering* — every
+   request already accepted is answered before the stream closes, and
+   unread input is simply left unread.  So a bounded serve is a prefix
+   of the unbounded one: same responses, same order, truncated input. *)
+let stream ?max_requests ?duration_s backend ic oc =
   let emit = emitter oc in
-  let lineno = ref 0 in
-  let accepted = ref 0 in
+  let b = backend ~emit in
+  let reader = Line_reader.create (Unix.descr_of_in_channel ic) in
   let clock = Clock.create () in
   let t0 = Clock.now_us clock in
-  let hit_bound () =
-    (match max_requests with Some m -> !accepted >= m | None -> false)
-    || match duration_s with
-       | Some d -> float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 >= d
-       | None -> false
+  let time_left () =
+    match duration_s with
+    | Some d -> d -. (float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6)
+    | None -> infinity
   in
-  let drain () = List.iter emit (Engine.drain engine) in
-  (try
-     while not (hit_bound ()) do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         incr accepted;
-         (match Codec.request_of_line ~default_id:(string_of_int !lineno) line with
-         | Error e ->
-           emit
-             {
-               Engine.id = string_of_int !lineno;
-               client = "anon";
-               reply = Engine.Error e;
-             }
-         | Ok req -> (
-           match Engine.submit engine req with
-           | Some resp -> emit resp
-           | None -> ()));
-         flush oc;
-         if Engine.pending engine >= drain_every then begin
-           drain ();
-           flush oc
-         end
-       end
-     done
-   with End_of_file -> ());
-  drain ();
+  let full accepted = match max_requests with Some m -> accepted >= m | None -> false in
+  let rec loop ~lineno ~accepted wait =
+    let left = time_left () in
+    if left > 0. && not (full accepted) then begin
+      let timeout = Float.min wait left in
+      if timeout > 0. then flush oc;
+      match Line_reader.next reader ~timeout with
+      | Line_reader.Eof -> ()
+      | Line_reader.Idle ->
+        let wait = b.answer ~idle:true in
+        flush oc;
+        loop ~lineno ~accepted wait
+      | Line_reader.Line line when String.trim line = "" -> loop ~lineno:(lineno + 1) ~accepted wait
+      | Line_reader.Line line ->
+        let lineno = lineno + 1 in
+        let default_id = string_of_int lineno in
+        (match Codec.request_of_line ~default_id line with
+        | Error e -> emit { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
+        | Ok req -> b.accept ~lineno req);
+        loop ~lineno ~accepted:(accepted + 1) (b.answer ~idle:false)
+    end
+  in
+  loop ~lineno:0 ~accepted:0 infinity;
+  b.finish ();
   flush oc
+
+let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
+  stream ?max_requests ?duration_s
+    (fun ~emit ->
+      let drain () = List.iter emit (Engine.drain engine) in
+      {
+        accept = (fun ~lineno:_ req -> Option.iter emit (Engine.submit engine req));
+        answer =
+          (fun ~idle ->
+            let n = Engine.pending engine in
+            if n >= drain_every || (idle && n > 0) then drain ();
+            if Engine.pending engine = 0 then infinity else 0.);
+        finish = drain;
+      })
+    ic oc
 
 (* ---------- slot bookkeeping ---------- *)
 

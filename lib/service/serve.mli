@@ -20,19 +20,53 @@ val serve :
   unit
 (** Streaming mode: read one JSON request per line, write one JSON
     response per line.  Immediate answers (hits, sheds, errors) are
-    emitted as soon as the request is read; queued work is drained
-    whenever [drain_every] (default 16) computations are pending and at
-    end of input, so identical requests arriving close together
-    coalesce.
+    emitted as soon as the request is read.  Queued work is drained as
+    soon as no further input line is ready, whenever [drain_every]
+    (default 16) computations are pending under sustained input, and at
+    end of input.  Lines that are already readable are read before the
+    drain, so identical requests arriving together coalesce.  On input
+    that is always readable, such as a file, the loop drains only at
+    [drain_every] and at end of input.
 
     Termination: the loop stops reading at EOF, after [max_requests]
     accepted (non-blank) request lines, or once [duration_s] seconds of
-    wall clock have elapsed (checked between lines — a request in
-    flight is never abandoned), whichever comes first.  Shutdown drain
-    semantics: stopping only stops {e reading}; every accepted request
-    is drained to a response and flushed before return, and unread
-    input is left unread — a bounded serve is a prefix of the unbounded
-    one. *)
+    wall clock have elapsed, whichever comes first; the deadline also
+    ends a wait on idle input.  Shutdown drain semantics: stopping only
+    stops {e reading}; every accepted request is drained to a response
+    and flushed before return, and unread input is left unread — a
+    bounded serve is a prefix of the unbounded one.
+
+    Precondition: nothing has been read from [ic] yet; the loop reads
+    its descriptor directly ({!Line_reader}), past the channel's
+    buffer. *)
+
+(** What {!stream} needs from a backend: the single engine ({!serve})
+    or a shard pool ({!Shard.serve}). *)
+type backend = {
+  accept : lineno:int -> Engine.request -> unit;
+      (** Take a decoded request from input line [lineno]; emit its
+          answer now if there is one. *)
+  answer : idle:bool -> float;
+      (** Emit the answers that exist now.  [idle]: no input line is
+          ready.  Returns how long the loop may then block on input:
+          [0.] while an answer is still pending and worth polling for,
+          [infinity] when nothing is pending. *)
+  finish : unit -> unit;  (** Answer everything accepted so far. *)
+}
+
+val stream :
+  ?max_requests:int ->
+  ?duration_s:float ->
+  (emit:(Engine.response -> unit) -> backend) ->
+  in_channel ->
+  out_channel ->
+  unit
+(** The streaming loop behind {!serve} and {!Shard.serve}: one reader
+    over [ic] ({!Line_reader}), one bound check, one decode-error path,
+    one flush policy, with the same termination, shutdown drain
+    semantics and precondition as {!serve}.  It never blocks on input
+    while [answer] reports an answer pending, and flushes output before
+    every blocking wait and after every idle step. *)
 
 (** Matches drained responses back to input slots by request id (ids
     may repeat: each id keys a FIFO of slots).  Shared by {!run_batch}

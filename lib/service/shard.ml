@@ -358,60 +358,63 @@ let run_batch t ~lines =
 
 (* ---------- streaming mode ---------- *)
 
-(* Same shutdown drain semantics as {!Serve.serve}: any bound (EOF,
-   max_requests, duration) only stops reading — every forwarded request
-   still drains to a response before return. *)
+(* While a forwarded request is unanswered and no input line is ready,
+   the router polls the row rings between polls of the input: back to
+   back for [spin_us] after the last answer arrived, which covers a hit's
+   hop, then separated by a wait of up to [idle_wait_s] on the input,
+   so a long computation costs a wake-up per wait instead of a busy
+   core. *)
+let spin_us = 200
+
+let idle_wait_s = 0.0005
+
 let serve ?max_requests ?duration_s t ic oc =
   ensure_live t "Shard.serve";
-  let emit = Serve.emitter oc in
-  let adm = admission_create () in
-  let tracked : (int, int * bool) Hashtbl.t = Hashtbl.create 256 in
-  let drained = ref 0 in
-  let handle = function
-    | Row { slot; resp } ->
-      (match Hashtbl.find_opt tracked slot with
-      | Some (rh, consumed) ->
-        Hashtbl.remove tracked slot;
-        settle adm ~no_cache:t.no_cache ~rh ~consumed resp
-      | None -> ());
-      emit resp
-    | Drained -> incr drained
-    | Stopped -> ()
-  in
-  let lineno = ref 0 in
-  let accepted = ref 0 in
-  let clock = Clock.create () in
-  let t0 = Clock.now_us clock in
-  let hit_bound () =
-    (match max_requests with Some m -> !accepted >= m | None -> false)
-    || match duration_s with
-       | Some d -> float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 >= d
-       | None -> false
-  in
-  (try
-     while not (hit_bound ()) do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         incr accepted;
-         let default_id = string_of_int !lineno in
-         (match Codec.request_of_line ~default_id line with
-         | Error e ->
-           emit { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
-         | Ok req -> (
-           let rh = Job.route_hash req.Engine.job in
-           match admit adm ~no_cache:t.no_cache ~bound:t.queue_bound rh with
-           | None -> emit (shed_response t adm req)
-           | Some consumed ->
-             Hashtbl.replace tracked !lineno (rh, consumed);
-             forward t handle t.workers.(shard_of_hash t rh) (Req { slot = !lineno; req })));
-         poll t handle;
-         flush oc
-       end
-     done
-   with End_of_file -> ());
-  await_drained t handle drained;
-  flush oc
+  Serve.stream ?max_requests ?duration_s
+    (fun ~emit ->
+      let adm = admission_create () in
+      let tracked : (int, int * bool) Hashtbl.t = Hashtbl.create 256 in
+      let drained = ref 0 in
+      let clock = Clock.create () in
+      let quiet_since = ref None in
+      let handle = function
+        | Row { slot; resp } ->
+          (match Hashtbl.find_opt tracked slot with
+          | Some (rh, consumed) ->
+            Hashtbl.remove tracked slot;
+            settle adm ~no_cache:t.no_cache ~rh ~consumed resp
+          | None -> ());
+          emit resp
+        | Drained -> incr drained
+        | Stopped -> ()
+      in
+      {
+        Serve.accept =
+          (fun ~lineno req ->
+            let rh = Job.route_hash req.Engine.job in
+            match admit adm ~no_cache:t.no_cache ~bound:t.queue_bound rh with
+            | None -> emit (shed_response t adm req)
+            | Some consumed ->
+              Hashtbl.replace tracked lineno (rh, consumed);
+              forward t handle t.workers.(shard_of_hash t rh) (Req { slot = lineno; req }));
+        answer =
+          (fun ~idle ->
+            let before = Hashtbl.length tracked in
+            poll t handle;
+            let waiting = Hashtbl.length tracked in
+            if waiting > 0 && idle && waiting = before then begin
+              let now = Clock.now_us clock in
+              let since = Option.value !quiet_since ~default:now in
+              quiet_since := Some since;
+              if now - since < spin_us then 0. else idle_wait_s
+            end
+            else begin
+              quiet_since := None;
+              if waiting > 0 then 0. else infinity
+            end);
+        finish = (fun () -> await_drained t handle drained);
+      })
+    ic oc
 
 (* ---------- shutdown ---------- *)
 

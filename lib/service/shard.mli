@@ -40,11 +40,14 @@ val create :
 (** Spawn the worker domains.  [domains] defaults to 2; [cache_cap],
     [queue_bound] and [no_cache] configure each shard engine exactly as
     {!Engine.create} ([queue_bound] doubles as the router's global
-    admission budget).  [drain_every] (default [max_int]) is the
-    streaming drain threshold per shard: the batch default holds queued
-    work until the router's drain barrier so duplicates coalesce
-    deterministically, while {!serve} callers typically pass 16 as the
-    single-domain loop does. *)
+    admission budget).  [drain_every] (default [max_int]) is the drain
+    threshold per shard.  With a finite value a shard runs its queued
+    work as soon as its request ring is empty, and under sustained
+    input whenever [drain_every] computations are pending; {!serve}
+    callers pass 16, as the single-domain loop uses.  The default is
+    the batch policy: queued work waits for the router's drain barrier
+    (in {!serve}, the end of input) so duplicates coalesce
+    deterministically. *)
 
 val domains : t -> int
 
@@ -65,14 +68,23 @@ val run_batch : t -> lines:string list -> Serve.batch
 
 val serve :
   ?max_requests:int -> ?duration_s:float -> t -> in_channel -> out_channel -> unit
-(** Streaming NDJSON loop over the pool: immediate answers (hits,
-    sheds, errors) are emitted as their rows arrive; each shard drains
-    eagerly when idle or when [drain_every] computations are pending.
+(** Streaming NDJSON loop over the pool, the same loop as {!Serve.serve}
+    ({!Serve.stream}).  Immediate answers (errors, router sheds) are
+    emitted at once.  While any forwarded request is unanswered and no
+    input line is ready, the router polls the row rings and emits each
+    row as it arrives: back to back for a moment, then between short
+    waits on the input, so it never blocks on input for longer than
+    that while an answer is pending.  When a shard runs queued work is
+    set by [drain_every] at {!create}.  Output is flushed before every
+    blocking wait.
+
     Returns on EOF — or after [max_requests] accepted request lines or
-    [duration_s] seconds, whichever comes first, with the same shutdown
-    drain semantics as {!Serve.serve}: bounds stop {e reading}, never
-    answering; every outstanding response is written and flushed.
-    The pool stays live; call {!shutdown} to stop it. *)
+    [duration_s] seconds, whichever comes first, also while the input
+    is idle — with the same shutdown drain semantics as {!Serve.serve}:
+    bounds stop {e reading}, never answering; every outstanding
+    response is written and flushed.  Precondition: nothing has been
+    read from [ic] yet.  The pool stays live; call {!shutdown} to stop
+    it. *)
 
 val shutdown : t -> Engine.response list
 (** Stop and join every worker domain, folding per-shard engine metrics

@@ -876,6 +876,157 @@ let test_shard_zipf_deterministic_and_skewed () =
       | Error e -> Alcotest.fail ("zipf line does not decode: " ^ e))
     a
 
+(* ---------- streaming loop and its line reader ---------- *)
+
+module Line_reader = Armb_service.Line_reader
+
+(* The lines [input_line] yields from [text], as the reference. *)
+let input_lines text =
+  let path = Filename.temp_file "armb-lines" ".txt" in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  let ic = open_in_bin path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc in
+  let lines = go [] in
+  close_in ic;
+  (path, lines)
+
+(* A [read] that hands out [text] in the given pieces: [0] raises
+   EINTR or EAGAIN instead of reading, [k > 0] reads at most [k] bytes;
+   once the pieces run out, every read takes what fits. *)
+let cut_read text pieces =
+  let pos = ref 0 and pieces = ref pieces and fails = ref 0 in
+  fun buf off len ->
+    let take k =
+      let k = min k (min len (String.length text - !pos)) in
+      Bytes.blit_string text !pos buf off k;
+      pos := !pos + k;
+      k
+    in
+    match !pieces with
+    | 0 :: rest ->
+      pieces := rest;
+      incr fails;
+      raise (Unix.Unix_error ((if !fails mod 2 = 0 then Unix.EINTR else Unix.EAGAIN), "read", ""))
+    | k :: rest ->
+      pieces := rest;
+      take k
+    | [] -> take len
+
+(* Poll a reader until end of input; [Idle] just polls again. *)
+let reader_lines r =
+  let rec go acc =
+    match Line_reader.next r ~timeout:0. with
+    | Line_reader.Line l -> go (l :: acc)
+    | Line_reader.Idle -> go acc
+    | Line_reader.Eof -> List.rev acc
+  in
+  go []
+
+let prop_reader_matches_input_line =
+  let open QCheck in
+  let text = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\n'; '\n'; '\r' ]) (int_bound 300)) in
+  let pieces = Gen.(list_size (int_bound 40) (int_bound 12)) in
+  Test.make ~name:"reader yields input_line's lines for any read sizes" ~count:300
+    (make
+       ~print:Print.(triple string (list int) int)
+       Gen.(triple text pieces (int_range 1 16)))
+    (fun (text, pieces, size) ->
+      let path, expected = input_lines text in
+      (* a regular file is always readable, so [select] never holds the
+         reader up and the pieces alone decide what each read returns *)
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      let got = reader_lines (Line_reader.create ~size ~read:(cut_read text pieces) fd) in
+      Unix.close fd;
+      Sys.remove path;
+      got = expected)
+
+let test_reader_not_ready_on_eintr_eagain () =
+  let path, _ = input_lines "x\n" in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let r = Line_reader.create ~read:(cut_read "x\n" [ 0; 0 ]) fd in
+  let next () = Line_reader.next r ~timeout:0. in
+  check Alcotest.bool "EAGAIN: not ready" true (next () = Line_reader.Idle);
+  check Alcotest.bool "EINTR: not ready" true (next () = Line_reader.Idle);
+  check Alcotest.bool "then the line" true (next () = Line_reader.Line "x");
+  check Alcotest.bool "then end of input" true (next () = Line_reader.Eof);
+  Unix.close fd;
+  Sys.remove path
+
+(* Run [serve ic oc] in its own domain over a pair of pipes.  Returns
+   the write end of its input, a reader of its output and the domain,
+   which ends once the input is closed. *)
+let serve_over_pipes serve =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let d =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr in_r and oc = Unix.out_channel_of_descr out_w in
+        Fun.protect
+          ~finally:(fun () ->
+            close_in_noerr ic;
+            close_out_noerr oc)
+          (fun () -> serve ic oc))
+  in
+  (in_w, Line_reader.create out_r, out_r, d)
+
+let write_all fd s =
+  let n = Unix.write_substring fd s 0 (String.length s) in
+  check Alcotest.int "one whole write" (String.length s) n
+
+(* The next response's origin, or [None] if none came within [seconds]. *)
+let origin_within r ~seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Line_reader.next r ~timeout:left with
+      | Line_reader.Line l -> (
+        match Json.of_string l with
+        | Ok j -> Some (Option.value ~default:"?" (Json.mem_str "origin" j))
+        | Error e -> Some ("unparsed: " ^ e))
+      | Line_reader.Idle -> go ()
+      | Line_reader.Eof -> None
+  in
+  go ()
+
+let mp_line ~id ~seed =
+  Printf.sprintf "{\"id\":\"%s\",\"kind\":\"litmus\",\"test\":\"MP\",\"trials\":5,\"seed\":%d}\n" id
+    seed
+
+(* Each answer is read with a timeout while the input stays open: a
+   loop that waits for more input before answering fails here instead
+   of hanging. *)
+let test_single_answers_without_more_input () =
+  let engine = Engine.create () in
+  let in_w, r, out_r, d = serve_over_pipes (Serve.serve ~drain_every:16 engine) in
+  write_all in_w (mp_line ~id:"miss" ~seed:11);
+  let miss = origin_within r ~seconds:3. in
+  (* ten identical misses in one write, under PIPE_BUF: they arrive
+     together, are all read before the drain, and coalesce *)
+  write_all in_w (String.concat "" (List.init 10 (fun i -> mp_line ~id:(Printf.sprintf "b%d" i) ~seed:12)));
+  let burst = List.init 10 (fun _ -> origin_within r ~seconds:3.) in
+  Unix.close in_w;
+  Domain.join d;
+  Unix.close out_r;
+  check (Alcotest.option Alcotest.string) "single miss answered with the input open" (Some "cold") miss;
+  let count o = List.length (List.filter (( = ) (Some o)) burst) in
+  check Alcotest.(pair int int) "burst: 1 cold, 9 coalesced" (1, 9) (count "cold", count "coalesced")
+
+let test_shard_answers_without_more_input () =
+  let pool = Shard.create ~domains:1 ~drain_every:16 () in
+  ignore (Shard.run_batch pool ~lines:[ mp_line ~id:"warm" ~seed:13 ]);
+  let in_w, r, out_r, d = serve_over_pipes (Shard.serve pool) in
+  write_all in_w (mp_line ~id:"hit" ~seed:13);
+  let hit = origin_within r ~seconds:3. in
+  Unix.close in_w;
+  Domain.join d;
+  Unix.close out_r;
+  ignore (Shard.shutdown pool : Engine.response list);
+  check (Alcotest.option Alcotest.string) "sharded hit answered with the input open" (Some "hit") hit
+
 let () =
   Alcotest.run "service"
     [
@@ -943,5 +1094,15 @@ let () =
           Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogate_pairs;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           Alcotest.test_case "run_config kv round trip" `Quick test_run_config_kv;
+        ] );
+      ( "stream",
+        [
+          QCheck_alcotest.to_alcotest prop_reader_matches_input_line;
+          Alcotest.test_case "reader: EINTR/EAGAIN read as not ready" `Quick
+            test_reader_not_ready_on_eintr_eagain;
+          Alcotest.test_case "single engine answers without more input" `Quick
+            test_single_answers_without_more_input;
+          Alcotest.test_case "shard router answers without more input" `Quick
+            test_shard_answers_without_more_input;
         ] );
     ]

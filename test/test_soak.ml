@@ -203,6 +203,64 @@ let test_serve_max_requests () =
   Sys.remove inp;
   Sys.remove out
 
+(* [--duration] must end a serve whose input stays open and idle: one
+   line is written and the pipe is kept open.  The serve runs in its
+   own domain and is given the duration plus slack to return by itself;
+   past that the test closes the input, so a loop that only stops at
+   end of input fails here instead of hanging. *)
+let test_serve_duration_idle_input () =
+  let duration_s = 0.5 and slack_s = 3. in
+  let run name serve =
+    let in_r, in_w = Unix.pipe ~cloexec:true () in
+    let out_r, out_w = Unix.pipe ~cloexec:true () in
+    let finished = Atomic.make false in
+    let t0 = Unix.gettimeofday () in
+    let d =
+      Domain.spawn (fun () ->
+          let ic = Unix.in_channel_of_descr in_r and oc = Unix.out_channel_of_descr out_w in
+          serve ~duration_s ic oc;
+          close_in_noerr ic;
+          close_out_noerr oc;
+          Atomic.set finished true;
+          Unix.gettimeofday () -. t0)
+    in
+    let line = litmus_line 0 ^ "\n" in
+    ignore (Unix.write_substring in_w line 0 (String.length line));
+    while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < duration_s +. slack_s do
+      Unix.sleepf 0.01
+    done;
+    let on_time = Atomic.get finished in
+    Unix.close in_w;
+    let took = Domain.join d in
+    let ic = Unix.in_channel_of_descr out_r in
+    let responses =
+      String.split_on_char '\n' (In_channel.input_all ic) |> List.filter (fun l -> String.trim l <> "")
+    in
+    close_in ic;
+    (name, took, on_time, responses)
+  in
+  let check_run (name, took, on_time, responses) =
+    check Alcotest.bool
+      (Printf.sprintf "%s: returned by the deadline on idle input (%.2f s)" name took)
+      true on_time;
+    match responses with
+    | [ r ] -> (
+      match Json.of_string r with
+      | Ok j ->
+        check (Alcotest.option Alcotest.string) (name ^ ": the line is answered") (Some "q0")
+          (Json.mem_str "id" j);
+        check (Alcotest.option Alcotest.string) (name ^ ": answered ok") (Some "ok")
+          (Json.mem_str "status" j)
+      | Error e -> Alcotest.fail ("response does not parse: " ^ e))
+    | rs -> Alcotest.failf "%s: %d responses, expected 1" name (List.length rs)
+  in
+  let single = run "single engine" (fun ~duration_s -> Serve.serve ~duration_s (Engine.create ())) in
+  let pool = Armb_service.Shard.create ~domains:1 ~drain_every:16 () in
+  let sharded = run "shard pool" (fun ~duration_s -> Armb_service.Shard.serve ~duration_s pool) in
+  ignore (Armb_service.Shard.shutdown pool : Engine.response list);
+  check_run single;
+  check_run sharded
+
 (* ---------- metrics artifact ---------- *)
 
 let small_config ~seed =
@@ -431,6 +489,8 @@ let () =
         [
           Alcotest.test_case "--max-requests answers the accepted prefix" `Quick
             test_serve_max_requests;
+          Alcotest.test_case "--duration ends a serve on idle input" `Quick
+            test_serve_duration_idle_input;
         ] );
       ( "driver",
         [
