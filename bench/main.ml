@@ -11,8 +11,12 @@
 let perf () =
   let r = Armb_perf.Perf.run ~progress:(fun n -> Printf.printf "perf: %s...\n%!" n) () in
   Format.printf "%a@." Armb_perf.Perf.pp r;
-  Armb_perf.Perf.write_json ~path:"BENCH_perf.json" r;
-  print_endline "wrote BENCH_perf.json"
+  match
+    Armb_service.Out.write ~path:"BENCH_perf.json"
+      (Armb_json.Json.to_string (Armb_perf.Perf.to_json r) ^ "\n")
+  with
+  | Ok () -> print_endline "wrote BENCH_perf.json"
+  | Error m -> failwith ("BENCH_perf.json: " ^ m)
 
 let registry = Figures.all @ [ ("perf", perf); ("native", Natives.run) ]
 

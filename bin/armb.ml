@@ -9,6 +9,7 @@ open Cmdliner
 module AM = Armb_core.Abstracted_model
 module Advisor = Armb_core.Advisor
 module Barrier = Armb_cpu.Barrier
+module Json = Armb_json.Json
 module Ordering = Armb_core.Ordering
 module P = Armb_platform.Platform
 module RC = Armb_platform.Run_config
@@ -25,6 +26,9 @@ let write_out path text =
   | Error m ->
     Printf.eprintf "armb: cannot write %s: %s\n" path m;
     exit 1
+
+(* Every JSON artifact is one compact line. *)
+let json_line j = Json.to_string j ^ "\n"
 
 let read_lines path =
   match
@@ -368,7 +372,18 @@ let perf_cmd =
           (Armb_fault.Plan.of_intensity ~seed:42 ~name:(Printf.sprintf "perf-%.2f" intensity)
              intensity)
     in
-    let base = Option.map (fun p -> (p, Perf.load_json ~path:p)) baseline in
+    (* A named baseline that cannot be read is an error, not a skipped
+       gate: a corrupted file must not turn the comparison into a pass. *)
+    let base =
+      Option.map
+        (fun p ->
+          match Perf.load_json ~path:p with
+          | Ok b -> (p, b)
+          | Error m ->
+            Printf.eprintf "perf: cannot read baseline %s: %s\n" p m;
+            exit 2)
+        baseline
+    in
     let r =
       try Perf.run ~quick ?fault ?only ~progress:(fun n -> Printf.printf "perf: %s...\n%!" n) ()
       with Invalid_argument msg ->
@@ -377,15 +392,13 @@ let perf_cmd =
     in
     Format.printf "%a@." Perf.pp r;
     (match (out, only) with
-    | Some f, _ -> write_out f (Perf.to_json r)
-    | None, None -> write_out "BENCH_perf.json" (Perf.to_json r)
+    | Some f, _ -> write_out f (json_line (Perf.to_json r))
+    | None, None -> write_out "BENCH_perf.json" (json_line (Perf.to_json r))
     | None, Some _ ->
       Printf.printf "perf: --only run, results not written (pass --out to save a partial file)\n");
     match base with
     | None -> ()
-    | Some (p, None) ->
-      Printf.eprintf "perf: baseline %s missing or unparseable; skipping comparison\n" p
-    | Some (p, Some b) ->
+    | Some (p, b) ->
       (* Comparing across fault plans measures the plan, not the kernel. *)
       if r.Perf.fault <> b.Perf.fault then
         Printf.eprintf
@@ -458,7 +471,7 @@ let barrier_cmd =
         exit 2
     in
     Format.printf "%a@." BS.pp t;
-    match out with None -> () | Some p -> write_out p (BS.to_json t)
+    match out with None -> () | Some p -> write_out p (json_line (BS.to_json t))
   in
   Cmd.v
     (Cmd.info "barrier"
@@ -598,7 +611,7 @@ let fix_cmd =
     end
     else if all then begin
       let rts = Fix.catalogue_round_trips ~max_edits ~budget ~trials ~seed () in
-      emit (if json then Report.round_trips_json rts else Report.round_trips_markdown rts);
+      emit (if json then json_line (Report.round_trips_json rts) else Report.round_trips_markdown rts);
       if List.exists (fun (rt : Fix.round_trip) -> not rt.ok) rts then exit 1
     end
     else
@@ -624,13 +637,13 @@ let fix_cmd =
               exit 1
             | Some rt ->
               emit
-                (if json then Report.round_trips_json [ rt ]
+                (if json then json_line (Report.round_trips_json [ rt ])
                  else Format.asprintf "%a@." Report.pp_round_trip rt);
               if not rt.ok then exit 1)
           else begin
             let o = Fix.fix ~max_edits ~budget ~trials ~seed t in
             emit
-              (if json then Report.outcome_json o
+              (if json then json_line (Report.outcome_json o)
                else Format.asprintf "%a@." Report.pp_outcome o);
             if (not o.already_sound) && o.repairs = [] then exit 1
           end)
@@ -701,7 +714,7 @@ let opt_cmd =
     in
     let cost = not no_cost in
     let finish results =
-      let text = if json then Opt_report.json results else Opt_report.markdown results in
+      let text = if json then json_line (Opt_report.json results) else Opt_report.markdown results in
       print_string text;
       (match out with None -> () | Some path -> write_out path text);
       let unsound =
@@ -809,7 +822,7 @@ let trace_cmd =
         Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:1 ~seed:rc.seed
           ~tracer:(Armb_cpu.Trace.emit tr) t
       in
-      write_out out (Armb_cpu.Trace.to_chrome_json tr);
+      write_out out (json_line (Armb_cpu.Trace.to_chrome_json tr));
       Printf.printf "%d spans (%d dropped) covering %d cycles of %s\n"
         (List.length (Armb_cpu.Trace.spans tr))
         (Armb_cpu.Trace.dropped tr) r.Armb_litmus.Sim_runner.cycles t.name;
@@ -850,7 +863,7 @@ let trace_cmd =
           Core.store c cons_cnt (Int64.of_int (i + 1))
         done);
     Machine.run_exn m;
-    write_out out (Trace.to_chrome_json tr);
+    write_out out (json_line (Trace.to_chrome_json tr));
     Printf.printf "%d spans (%d dropped) covering %d cycles\n"
       (List.length (Trace.spans tr)) (Trace.dropped tr) (Machine.elapsed m);
     print_endline "open it at chrome://tracing or https://ui.perfetto.dev"
@@ -868,7 +881,6 @@ module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
 module Shard = Armb_service.Shard
 module Codec = Armb_service.Codec
-module Json = Armb_service.Json
 module Metrics = Armb_service.Metrics
 
 let no_cache =
@@ -902,7 +914,7 @@ let domains_arg =
 let dump_metrics engine = function
   | None -> ()
   | Some path ->
-    write_out path (Json.to_string (Metrics.to_json (Engine.metrics engine)) ^ "\n")
+    write_out path (json_line (Metrics.to_json (Engine.metrics engine)))
 
 let serve_cmd =
   let batch_file =
@@ -973,7 +985,7 @@ let serve_cmd =
       match metrics_out with
       | None -> ()
       | Some path ->
-        write_out path (Json.to_string (Metrics.to_json (Shard.metrics pool)) ^ "\n")
+        write_out path (json_line (Metrics.to_json (Shard.metrics pool)))
     end
   in
   Cmd.v
@@ -1103,7 +1115,7 @@ let batch_cmd =
         (match metrics_out with
         | None -> ()
         | Some path ->
-          write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"));
+          write_out path (json_line (Metrics.to_json c.Serve.warm_metrics)));
         if not c.Serve.identical then begin
           Printf.eprintf "armb batch: warm responses differ from cold responses\n";
           exit 1
@@ -1129,8 +1141,7 @@ let batch_cmd =
         (match metrics_out with
         | None -> ()
         | Some path ->
-          write_out path
-            (Json.to_string (Metrics.to_json c.Shard.sharded_metrics) ^ "\n"));
+          write_out path (json_line (Metrics.to_json c.Shard.sharded_metrics)));
         if not c.Shard.identical then begin
           Printf.eprintf "armb batch: sharded responses differ from single-domain\n";
           exit 1
@@ -1160,7 +1171,7 @@ let batch_cmd =
         match metrics_out with
         | None -> ()
         | Some path ->
-          write_out path (Json.to_string (Metrics.to_json (Shard.metrics pool)) ^ "\n")
+          write_out path (json_line (Metrics.to_json (Shard.metrics pool)))
       end
       else begin
         let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in

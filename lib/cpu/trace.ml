@@ -21,37 +21,19 @@ let spans t = List.rev t.rev_spans
 
 let dropped t = t.drop
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Armb_json.Json
 
-let to_chrome_json t =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d}"
-           (escape s.name) (escape s.kind) s.core s.start_cycle (max 1 s.duration)))
-    (spans t);
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
-  Buffer.contents buf
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json t))
+let to_chrome_json t : Json.t =
+  let event s =
+    Json.Obj
+      [
+        ("name", Str s.name);
+        ("cat", Str s.kind);
+        ("ph", Str "X");
+        ("pid", Int 0);
+        ("tid", Int s.core);
+        ("ts", Int s.start_cycle);
+        ("dur", Int (max 1 s.duration));
+      ]
+  in
+  Obj [ ("traceEvents", List (List.map event (spans t))); ("displayTimeUnit", Str "ns") ]

@@ -7,7 +7,8 @@
       let tr = Trace.create () in
       let m = Machine.create ~tracer:(Trace.emit tr) cfg in
       ...
-      Trace.write_file tr "run.json"
+      Armb_service.Out.write ~path:"run.json"
+        (Armb_json.Json.to_string (Trace.to_chrome_json tr))
     ]} *)
 
 type span = {
@@ -31,8 +32,6 @@ val spans : t -> span list
 
 val dropped : t -> int
 
-val to_chrome_json : t -> string
+val to_chrome_json : t -> Armb_json.Json.t
 (** Chrome trace-event JSON: one complete event per span, one track per
     simulated core, timestamps in simulated cycles. *)
-
-val write_file : t -> string -> unit

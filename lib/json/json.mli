@@ -1,7 +1,8 @@
-(** A minimal JSON value type with a one-line printer and a recursive
-    descent parser — just enough for the service's newline-delimited
-    request/response protocol and metrics export, without pulling a
-    JSON dependency into the build. *)
+(** The tree's one JSON module: a value type with a one-line printer
+    and a recursive descent parser.  The service's NDJSON protocol and
+    metrics, the perf baseline and its loader, the repair and optimizer
+    reports, the barrier study and Chrome traces are all built as {!t}
+    and printed by {!to_string}.  No dependencies. *)
 
 type t =
   | Null
@@ -14,7 +15,10 @@ type t =
 
 val to_string : t -> string
 (** Compact single-line rendering (strings escaped, no embedded
-    newlines) — safe to emit as one NDJSON line. *)
+    newlines) — safe to emit as one NDJSON line.  A finite [Float]
+    prints in the fewest of 15, 16 or 17 significant digits that parse
+    back to the same value (integral ones with a trailing [.0]); a
+    non-finite one prints as [null]. *)
 
 val to_buffer : Buffer.t -> t -> unit
 (** Append the {!to_string} rendering to a buffer. *)

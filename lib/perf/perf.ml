@@ -273,107 +273,53 @@ let pp ppf r =
 
 (* ---------- JSON serialization ---------- *)
 
-(* Hand-rolled, line-oriented JSON: one key per line, so the loader can
-   be a trivial line scanner instead of pulling in a JSON dependency. *)
-let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"armb-perf-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"mode\": %S,\n" r.mode);
-  Buffer.add_string b (Printf.sprintf "  \"fault\": %S,\n" r.fault);
-  Buffer.add_string b "  \"workloads\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string b "    {\n";
-      Buffer.add_string b (Printf.sprintf "      \"name\": %S,\n" s.name);
-      Buffer.add_string b (Printf.sprintf "      \"events\": %d,\n" s.events);
-      Buffer.add_string b (Printf.sprintf "      \"wall_s\": %.6f,\n" s.wall_s);
-      Buffer.add_string b (Printf.sprintf "      \"events_per_sec\": %.1f\n" s.events_per_sec);
-      Buffer.add_string b
-        (if i = List.length r.samples - 1 then "    }\n" else "    },\n"))
-    r.samples;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+module Json = Armb_json.Json
 
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json r);
-  close_out oc
+let to_json r : Json.t =
+  let sample s =
+    Json.Obj
+      [
+        ("name", Str s.name);
+        ("events", Int s.events);
+        ("wall_s", Float s.wall_s);
+        ("events_per_sec", Float s.events_per_sec);
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "armb-perf-v1");
+      ("mode", Str r.mode);
+      ("fault", Str r.fault);
+      ("workloads", List (List.map sample r.samples));
+    ]
 
-let strip_trailing_comma s =
-  let s = String.trim s in
-  if String.length s > 0 && s.[String.length s - 1] = ',' then
-    String.sub s 0 (String.length s - 1)
-  else s
-
-let field_value line key =
-  let prefix = Printf.sprintf "\"%s\":" key in
-  let line = String.trim line in
-  if String.length line >= String.length prefix
-     && String.sub line 0 (String.length prefix) = prefix
-  then
-    Some
-      (strip_trailing_comma
-         (String.sub line (String.length prefix) (String.length line - String.length prefix)))
-  else None
-
-let unquote s =
-  let s = String.trim s in
-  if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-    String.sub s 1 (String.length s - 2)
-  else s
+let of_json j =
+  let sample w =
+    match
+      ( Json.mem_str "name" w,
+        Json.mem_int "events" w,
+        Json.mem_number "wall_s" w,
+        Json.mem_number "events_per_sec" w )
+    with
+    | Some name, Some events, Some wall_s, Some events_per_sec ->
+      Ok { name; events; wall_s; events_per_sec }
+    | _ -> Error "a workload lacks name, events, wall_s or events_per_sec"
+  in
+  match (Json.mem_str "mode" j, Option.bind (Json.member "workloads" j) Json.list) with
+  | Some mode, Some ws ->
+    (* pre-fault files never set the key: they read as faults-off *)
+    let fault = Option.value ~default:"none" (Json.mem_str "fault" j) in
+    let rec samples = function
+      | [] -> Ok []
+      | w :: ws -> Result.bind (sample w) (fun s -> Result.map (List.cons s) (samples ws))
+    in
+    Result.map (fun samples -> { mode; fault; samples }) (samples ws)
+  | _ -> Error "no mode or workloads list"
 
 let load_json ~path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    let lines = List.rev !lines in
-    let mode = ref "" in
-    (* pre-fault files simply never set the key: they read as faults-off *)
-    let fault = ref "none" in
-    let samples = ref [] in
-    let cur_name = ref None and cur_events = ref None and cur_wall = ref None in
-    let cur_eps = ref None in
-    let flush () =
-      match (!cur_name, !cur_events, !cur_wall, !cur_eps) with
-      | Some name, Some events, Some wall_s, Some events_per_sec ->
-        samples := { name; events; wall_s; events_per_sec } :: !samples;
-        cur_name := None;
-        cur_events := None;
-        cur_wall := None;
-        cur_eps := None
-      | _ -> ()
-    in
-    List.iter
-      (fun line ->
-        (match field_value line "mode" with Some v -> mode := unquote v | None -> ());
-        (match field_value line "fault" with Some v -> fault := unquote v | None -> ());
-        (match field_value line "name" with
-        | Some v ->
-          flush ();
-          cur_name := Some (unquote v)
-        | None -> ());
-        (match field_value line "events" with
-        | Some v -> cur_events := int_of_string_opt (String.trim v)
-        | None -> ());
-        (match field_value line "wall_s" with
-        | Some v -> cur_wall := float_of_string_opt (String.trim v)
-        | None -> ());
-        match field_value line "events_per_sec" with
-        | Some v -> cur_eps := float_of_string_opt (String.trim v)
-        | None -> ())
-      lines;
-    flush ();
-    match (!mode, !samples) with
-    | "", [] -> None
-    | mode, samples -> Some { mode; fault = !fault; samples = List.rev samples }
-  end
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | text -> Result.bind (Json.of_string text) of_json
 
 (* ---------- baseline comparison ---------- *)
 

@@ -44,13 +44,14 @@ val run :
 
 val pp : Format.formatter -> results -> unit
 
-val to_json : results -> string
+val to_json : results -> Armb_json.Json.t
+(** Schema [armb-perf-v1]: mode, fault plan and one object per
+    workload. *)
 
-val write_json : path:string -> results -> unit
-
-val load_json : path:string -> results option
-(** Minimal parser for files produced by {!write_json}; [None] when the
-    file is missing or unparseable. *)
+val load_json : path:string -> (results, string) result
+(** Read a file written from {!to_json}, in any JSON layout.  A file
+    without ["fault"] reads as faults-off.  [Error] carries the I/O
+    error, the parser's position message, or the missing field. *)
 
 type regression = { workload : string; baseline_eps : float; current_eps : float }
 

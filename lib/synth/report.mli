@@ -13,8 +13,7 @@ val round_trips_markdown : Fix.round_trip list -> string
     winner and cost delta per platform, verdict flags) followed by a
     per-test breakdown of every synthesized repair. *)
 
-val round_trips_json : Fix.round_trip list -> string
-(** The same data as a JSON document (hand-rolled; no JSON library in
-    the image). *)
+val round_trips_json : Fix.round_trip list -> Armb_json.Json.t
+(** The same data as a JSON document. *)
 
-val outcome_json : Fix.outcome -> string
+val outcome_json : Fix.outcome -> Armb_json.Json.t

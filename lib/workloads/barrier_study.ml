@@ -85,34 +85,25 @@ let pp ppf t =
   | None -> Format.fprintf ppf "no central -> tree%d crossover in this sweep@," t.arity);
   Format.fprintf ppf "@]"
 
-(* Same line-oriented hand-rolled JSON style as Perf.to_json, so no JSON
-   dependency is needed to consume it. *)
-let to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"armb-barrier-study-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"episodes\": %d,\n" t.episodes);
-  Buffer.add_string b (Printf.sprintf "  \"work\": %d,\n" t.work);
-  Buffer.add_string b (Printf.sprintf "  \"arity\": %d,\n" t.arity);
-  Buffer.add_string b
-    (Printf.sprintf "  \"crossover\": %s,\n"
-       (match t.crossover with Some c -> string_of_int c | None -> "null"));
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b "    {\n";
-      Buffer.add_string b (Printf.sprintf "      \"cores\": %d,\n" r.cores);
-      Buffer.add_string b
-        (Printf.sprintf "      \"central_cpe\": %.1f,\n" r.central.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"tree_cpe\": %.1f,\n" r.tree.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"dissemination_cpe\": %.1f,\n"
-           r.dissemination.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"events\": %d\n"
-           (r.central.events + r.tree.events + r.dissemination.events));
-      Buffer.add_string b (if i = List.length t.rows - 1 then "    }\n" else "    },\n"))
-    t.rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+module Json = Armb_json.Json
+
+let to_json t : Json.t =
+  let row r =
+    Json.Obj
+      [
+        ("cores", Int r.cores);
+        ("central_cpe", Float r.central.cycles_per_episode);
+        ("tree_cpe", Float r.tree.cycles_per_episode);
+        ("dissemination_cpe", Float r.dissemination.cycles_per_episode);
+        ("events", Int (r.central.events + r.tree.events + r.dissemination.events));
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "armb-barrier-study-v1");
+      ("episodes", Int t.episodes);
+      ("work", Int t.work);
+      ("arity", Int t.arity);
+      ("crossover", match t.crossover with Some c -> Int c | None -> Null);
+      ("rows", List (List.map row t.rows));
+    ]

@@ -463,13 +463,37 @@ let test_trace_collects_spans () =
       if s.start_cycle < 0 || s.duration < 0 then Alcotest.fail "negative span")
     spans
 
+(* The rendered trace is one line with no raw control character, and
+   parses back to the same events: a name with every escape class
+   returns byte-equal. *)
 let test_trace_json_wellformed () =
+  let module Json = Armb_json.Json in
   let tr = Armb_cpu.Trace.create () in
+  let name = "ld \"quoted\" \\ back\nnl\rcr\ttab\x01" in
+  Armb_cpu.Trace.emit tr { Armb_cpu.Trace.core = 1; kind = "load"; name; start_cycle = 5; duration = 7 };
   Armb_cpu.Trace.emit tr
-    { Armb_cpu.Trace.core = 1; kind = "load"; name = "ld \"quoted\"\n"; start_cycle = 5; duration = 7 };
-  let json = Armb_cpu.Trace.to_chrome_json tr in
-  check Alcotest.bool "escapes quotes" true
-    (String.length json > 0 && not (String.contains (String.concat "" (String.split_on_char '\\' json)) '\n'))
+    { Armb_cpu.Trace.core = 0; kind = "barrier"; name = "dmb"; start_cycle = 9; duration = 0 };
+  let text = Json.to_string (Armb_cpu.Trace.to_chrome_json tr) in
+  check Alcotest.bool "no raw control character" false
+    (String.exists (fun c -> Char.code c < 0x20) text);
+  match Json.of_string text with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    check Alcotest.(option string) "time unit" (Some "ns") (Json.mem_str "displayTimeUnit" j);
+    let events = Option.get (Option.bind (Json.member "traceEvents" j) Json.list) in
+    let field k conv e = Option.get (Option.bind (Json.member k e) conv) in
+    check
+      Alcotest.(list (pair string (pair string (list int))))
+      "events read back"
+      [ (name, ("load", [ 0; 1; 5; 7 ])); ("dmb", ("barrier", [ 0; 0; 9; 1 ])) ]
+      (List.map
+         (fun e ->
+           ( field "name" Json.str e,
+             ( field "cat" Json.str e,
+               List.map (fun k -> field k Json.int e) [ "pid"; "tid"; "ts"; "dur" ] ) ))
+         events);
+    check Alcotest.(list string) "phase" [ "X"; "X" ]
+      (List.map (field "ph" Json.str) events)
 
 let test_trace_limit_drops () =
   let tr = Armb_cpu.Trace.create ~limit:3 () in

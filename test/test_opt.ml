@@ -400,6 +400,58 @@ let qcheck_optimize_preserves =
       r.Optimizer.verdict.Verify.sound && a = b
       && r.Optimizer.output_fences <= r.Optimizer.input_fences)
 
+(* The JSON report parses and reads back the sweep: keys in order, the
+   summary and every result's counts and flags. *)
+let test_report_json () =
+  let module Json = Armb_json.Json in
+  let results =
+    List.map
+      (fun n -> Optimizer.optimize ~cost:false (Option.get (Optimizer.find_input n)))
+      [ "MP+overfenced"; "SB" ]
+  in
+  let get k conv j = Option.get (Option.bind (Json.member k j) conv) in
+  let keys = function Json.Obj fs -> List.map fst fs | _ -> Alcotest.fail "not an object" in
+  match Json.of_string (Json.to_string (Armb_opt.Report.json results)) with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    check Alcotest.(list string) "keys" [ "algorithm"; "summary"; "results" ] (keys j);
+    check Alcotest.string "algorithm" "second-chance" (get "algorithm" Json.str j);
+    let improved = List.length (List.filter Optimizer.improved results) in
+    check Alcotest.(list int) "summary" [ 2; improved; 0; 0 ]
+      (List.map
+         (fun k -> get k Json.int (get "summary" Option.some j))
+         [ "programs"; "improved"; "unsound"; "fence_increase" ]);
+    let rows = get "results" Json.list j in
+    check Alcotest.(list string) "result keys"
+      [
+        "name"; "loop_free"; "input_fences"; "output_fences"; "removed"; "weakened"; "merged";
+        "sound"; "reverted"; "oracle"; "costs";
+      ]
+      (keys (List.hd rows));
+    let row (r : Optimizer.result) =
+      ( r.Optimizer.name,
+        [
+          r.Optimizer.input_fences;
+          r.Optimizer.output_fences;
+          r.Optimizer.removed;
+          r.Optimizer.weakened;
+          r.Optimizer.merged;
+        ],
+        [ r.Optimizer.verdict.Verify.sound; r.Optimizer.reverted ] )
+    in
+    let read_row j =
+      ( get "name" Json.str j,
+        List.map
+          (fun k -> get k Json.int j)
+          [ "input_fences"; "output_fences"; "removed"; "weakened"; "merged" ],
+        List.map (fun k -> get k Json.bool j) [ "sound"; "reverted" ] )
+    in
+    check
+      Alcotest.(list (triple string (list int) (list bool)))
+      "results" (List.map row results) (List.map read_row rows);
+    check Alcotest.(list int) "uncosted" [ 0; 0 ]
+      (List.map (fun j -> List.length (get "costs" Json.list j)) rows)
+
 let test_opt_soak () =
   let r = Opt_soak.run ~rounds:6 ~seed:77 () in
   checkb
@@ -453,5 +505,6 @@ let () =
           Alcotest.test_case "catalogue sweep sound" `Slow test_optimize_catalogue_sound;
           QCheck_alcotest.to_alcotest qcheck_optimize_preserves;
           Alcotest.test_case "soak" `Slow test_opt_soak;
+          Alcotest.test_case "json report reads back" `Quick test_report_json;
         ] );
     ]

@@ -721,7 +721,7 @@ let test_json_number_grammar () =
   ok "exponent" "1e2" "100.0";
   ok "signed exponent" "1.5E+2" "150.0";
   ok "big magnitude falls back to float" "123456789123456789123456789"
-    "1.23457e+26";
+    "1.2345678912345679e+26";
   bad "leading plus" "+5";
   bad "leading zero" "01";
   bad "hex" "0x10";
@@ -762,8 +762,25 @@ let test_json_surrogate_pairs () =
   | Ok (Json.Str s) -> check Alcotest.string "BMP escape" "\xc3\xa9" s
   | _ -> Alcotest.fail "BMP escape must decode"
 
-(* Printable round-trip property over random JSON trees (floats
-   excluded: their %.6g rendering is lossy by design). *)
+(* Floats print in the fewest digits that read back exactly. *)
+let test_json_float_exact () =
+  let reads_back f =
+    match Json.of_string (Json.to_string (Json.Float f)) with
+    | Ok (Json.Float g) -> check (Alcotest.float 0.) (Json.to_string (Json.Float f)) f g
+    | Ok _ -> Alcotest.fail "a float must read back as a float"
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.string "1234567.5" "1234567.5" (Json.to_string (Json.Float 1234567.5));
+  check Alcotest.string "12345.678" "12345.678" (Json.to_string (Json.Float 12345.678));
+  check Alcotest.string "0.1" "0.1" (Json.to_string (Json.Float 0.1));
+  check Alcotest.string "integral" "3.0" (Json.to_string (Json.Float 3.));
+  check Alcotest.string "non-finite" "[null,null]"
+    (Json.to_string (Json.List [ Json.Float Float.nan; Json.Float Float.infinity ]));
+  List.iter reads_back
+    [ 1234567.5; 12345.678; 0.1; 1. /. 3.; 1e16 +. 2.; 1e300; -5e-324; Float.max_float ]
+
+(* Printable round-trip property over random JSON trees, finite floats
+   included: the parsed value must equal the original. *)
 let prop_json_roundtrip =
   let open QCheck in
   let leaf =
@@ -773,6 +790,7 @@ let prop_json_roundtrip =
         Gen.map (fun b -> Json.Bool b) Gen.bool;
         Gen.map (fun i -> Json.Int i) Gen.int;
         Gen.map (fun s -> Json.Str s) Gen.string_printable;
+        Gen.map (fun f -> Json.Float (if Float.is_finite f then f else 0.5)) Gen.float;
       ]
   in
   let tree =
@@ -795,7 +813,7 @@ let prop_json_roundtrip =
   Test.make ~name:"to_string/of_string round trip" ~count:200 (make tree)
     (fun j ->
       match Json.of_string (Json.to_string j) with
-      | Ok j' -> Json.to_string j = Json.to_string j'
+      | Ok j' -> j = j'
       | Error _ -> false)
 
 (* ---------- sharded service ---------- *)
@@ -1092,6 +1110,7 @@ let () =
           Alcotest.test_case "json parser" `Quick test_json_parser;
           Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
           Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogate_pairs;
+          Alcotest.test_case "json floats read back exactly" `Quick test_json_float_exact;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           Alcotest.test_case "run_config kv round trip" `Quick test_run_config_kv;
         ] );

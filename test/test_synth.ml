@@ -413,6 +413,69 @@ let test_catalogue_round_trips () =
         rt.outcome.winners)
     mp_rts
 
+(* The JSON report parses and reads back the round trip: keys in order,
+   verdict flags, repair labels, winners and every cost exactly. *)
+let test_report_json () =
+  let module Json = Armb_json.Json in
+  let module Report = Armb_synth.Report in
+  let parse j =
+    match Json.of_string (Json.to_string j) with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  let keys = function Json.Obj fs -> List.map fst fs | _ -> Alcotest.fail "not an object" in
+  let get k conv j = Option.get (Option.bind (Json.member k j) conv) in
+  let costs k j =
+    List.map
+      (fun c -> (get "platform" Json.str c, get "cycles" Json.number c))
+      (get k Json.list j)
+  in
+  let rt = Option.get (Fix.strip_round_trip ~trials:10 Cat.mp_dmb) in
+  let o = rt.outcome in
+  let cost_pairs = List.map (fun (c : Cost.platform_cost) -> (c.platform, c.cycles)) in
+  let check_outcome j =
+    check Alcotest.(list string) "outcome keys"
+      [ "test"; "already_sound"; "oracle_calls"; "search_complete"; "repairs"; "winners" ]
+      (keys j);
+    check Alcotest.string "test" o.original.Lang.name (get "test" Json.str j);
+    check Alcotest.int "oracle calls" o.oracle_calls (get "oracle_calls" Json.int j);
+    check Alcotest.bool "complete" o.search_complete (get "search_complete" Json.bool j);
+    let repairs = get "repairs" Json.list j in
+    check Alcotest.(list string) "labels"
+      (List.map (fun (r : Fix.repair) -> r.label) o.repairs)
+      (List.map (get "label" Json.str) repairs);
+    check
+      Alcotest.(list (list (pair string (float 0.))))
+      "repair costs"
+      (List.map (fun (r : Fix.repair) -> cost_pairs r.costs) o.repairs)
+      (List.map (costs "costs") repairs);
+    check
+      Alcotest.(list (pair string string))
+      "winners"
+      (List.map (fun (p, (r : Fix.repair)) -> (p, r.label)) o.winners)
+      (match Json.member "winners" j with
+      | Some (Json.Obj ws) -> List.map (fun (p, l) -> (p, Option.get (Json.str l))) ws
+      | _ -> Alcotest.fail "winners is not an object")
+  in
+  check_outcome (parse (Report.outcome_json o));
+  match parse (Report.round_trips_json [ rt ]) with
+  | Json.List [ j ] ->
+    check Alcotest.(list string) "round trip keys"
+      [
+        "test"; "original_costs"; "outcome"; "sufficient_ok"; "irredundant_ok"; "cost_ok";
+        "pilot_expected"; "pilot_ok"; "ok";
+      ]
+      (keys j);
+    check Alcotest.string "name" rt.test_name (get "test" Json.str j);
+    check
+      Alcotest.(list (pair string (float 0.)))
+      "original costs" (cost_pairs rt.original_costs) (costs "original_costs" j);
+    check Alcotest.(list bool) "flags"
+      [ rt.sufficient_ok; rt.irredundant_ok; rt.cost_ok; rt.pilot_expected; rt.pilot_ok; rt.ok ]
+      (List.map
+         (fun k -> get k Json.bool j)
+         [ "sufficient_ok"; "irredundant_ok"; "cost_ok"; "pilot_expected"; "pilot_ok"; "ok" ]);
+    check_outcome (get "outcome" Option.some j)
+  | _ -> Alcotest.fail "expected a one-element list"
+
 let test_cost_deterministic () =
   let a = Cost.measure ~trials:20 Cat.mp_dmb in
   let b = Cost.measure ~trials:20 Cat.mp_dmb in
@@ -468,6 +531,7 @@ let () =
         [
           Alcotest.test_case "catalogue" `Quick test_catalogue_round_trips;
           Alcotest.test_case "cost deterministic" `Quick test_cost_deterministic;
+          Alcotest.test_case "json report reads back" `Quick test_report_json;
         ] );
       ("soak", [ Alcotest.test_case "fuzz repair" `Quick test_soak ]);
     ]

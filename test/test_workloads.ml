@@ -63,16 +63,44 @@ let test_barrier_study_bad_sizes () =
       | exception Invalid_argument _ -> ())
     [ []; [ 12 ]; [ 4 ]; [ 2048 ]; [ 8; 0 ] ]
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
+(* The artifact parses and reads back the study: keys in order, every
+   row's cycles per episode exactly. *)
 let test_barrier_study_json () =
-  let t = W.Barrier_study.run ~sizes:[ 8 ] ~episodes:1 ~work:10 () in
-  let json = W.Barrier_study.to_json t in
-  check Alcotest.bool "schema tag" true (contains ~sub:"armb-barrier-study-v1" json);
-  check Alcotest.bool "row tag" true (contains ~sub:"\"cores\": 8" json)
+  let module Json = Armb_json.Json in
+  let t = W.Barrier_study.run ~sizes:[ 8; 16 ] ~episodes:1 ~work:10 () in
+  match Json.of_string (Json.to_string (W.Barrier_study.to_json t)) with
+  | Error e -> Alcotest.fail e
+  | Ok (Json.Obj fields as j) ->
+    check Alcotest.(list string) "keys"
+      [ "schema"; "episodes"; "work"; "arity"; "crossover"; "rows" ]
+      (List.map fst fields);
+    check Alcotest.(option string) "schema" (Some "armb-barrier-study-v1")
+      (Json.mem_str "schema" j);
+    check Alcotest.(list (option int)) "parameters" [ Some 1; Some 10; Some 4 ]
+      (List.map (fun k -> Json.mem_int k j) [ "episodes"; "work"; "arity" ]);
+    check Alcotest.(option int) "crossover" t.W.Barrier_study.crossover
+      (Json.mem_int "crossover" j);
+    let row (r : W.Barrier_study.row) =
+      ( r.cores,
+        [
+          r.central.cycles_per_episode;
+          r.tree.cycles_per_episode;
+          r.dissemination.cycles_per_episode;
+        ],
+        r.central.events + r.tree.events + r.dissemination.events )
+    in
+    let read_row j =
+      let num k = Option.get (Json.mem_number k j) in
+      ( Option.get (Json.mem_int "cores" j),
+        List.map num [ "central_cpe"; "tree_cpe"; "dissemination_cpe" ],
+        Option.get (Json.mem_int "events" j) )
+    in
+    check
+      Alcotest.(list (triple int (list (float 0.)) int))
+      "rows"
+      (List.map row t.W.Barrier_study.rows)
+      (List.map read_row (Option.get (Option.bind (Json.member "rows" j) Json.list)))
+  | Ok _ -> Alcotest.fail "not an object"
 
 let test_floorplan_matches_oracle () =
   (* the run itself raises if the parallel result differs from the
