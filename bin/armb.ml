@@ -911,10 +911,11 @@ let domains_arg =
            ~doc:"Shard the engine across N worker domains (consistent-hash routing, \
                  per-domain memo caches).  1 keeps the single-domain engine.")
 
-let dump_metrics engine = function
+let dump_metrics metrics = function
   | None -> ()
-  | Some path ->
-    write_out path (json_line (Metrics.to_json (Engine.metrics engine)))
+  | Some path -> write_out path (json_line (Metrics.to_json metrics))
+
+let print_responses = List.iter (fun r -> print_endline (Codec.response_to_line r))
 
 let serve_cmd =
   let batch_file =
@@ -956,37 +957,15 @@ let serve_cmd =
       Printf.eprintf "armb serve: --domains must be >= 1\n";
       exit 2
     end;
-    if domains = 1 then begin
-      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-      (match batch_file with
-      | None ->
-        Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
-      | Some f ->
-        let b = Serve.run_batch engine ~lines:(read_lines f) in
-        List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
-      dump_metrics engine metrics_out
-    end
-    else begin
-      let pool =
-        match batch_file with
-        | None -> Shard.create ~domains ~cache_cap ~queue_bound ~no_cache ~drain_every ()
-        | Some _ ->
-          (* batch drain policy: hold queued work until the drain barrier
-             so duplicates coalesce as they do on one domain *)
-          Shard.create ~domains ~cache_cap ~queue_bound ~no_cache ()
-      in
-      (match batch_file with
-      | None -> Shard.serve ?max_requests ?duration_s:duration pool stdin stdout
-      | Some f ->
-        let b = Shard.run_batch pool ~lines:(read_lines f) in
-        List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
-      let stray = Shard.shutdown pool in
-      List.iter (fun r -> print_endline (Codec.response_to_line r)) stray;
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        write_out path (json_line (Metrics.to_json (Shard.metrics pool)))
-    end
+    (* a batch holds queued work until its one drain, so duplicates
+       coalesce on any number of domains *)
+    let drain_every = if batch_file = None then drain_every else max_int in
+    let server = Shard.server ~domains ~cache_cap ~queue_bound ~no_cache ~drain_every () in
+    (match batch_file with
+    | None -> Serve.stream ?max_requests ?duration_s:duration server.backend stdin stdout
+    | Some f -> print_responses (Serve.run_lines server.backend ~lines:(read_lines f)).responses);
+    print_responses (server.stop ());
+    dump_metrics (server.metrics ()) metrics_out
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1112,10 +1091,7 @@ let batch_cmd =
         | None -> ()
         | Some path -> write_out path (responses_text c.Serve.warm));
         (* warm-engine metrics are the interesting artifact here *)
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path (json_line (Metrics.to_json c.Serve.warm_metrics)));
+        dump_metrics c.Serve.warm_metrics metrics_out;
         if not c.Serve.identical then begin
           Printf.eprintf "armb batch: warm responses differ from cold responses\n";
           exit 1
@@ -1138,10 +1114,7 @@ let batch_cmd =
         (match out with
         | None -> ()
         | Some path -> write_out path (responses_text c.Shard.sharded));
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path (json_line (Metrics.to_json c.Shard.sharded_metrics)));
+        dump_metrics c.Shard.sharded_metrics metrics_out;
         if not c.Shard.identical then begin
           Printf.eprintf "armb batch: sharded responses differ from single-domain\n";
           exit 1
@@ -1152,43 +1125,24 @@ let batch_cmd =
           exit 1
         end
       end
-      else if domains > 1 then begin
-        let pool = Shard.create ~domains ~cache_cap ~queue_bound ~no_cache () in
-        let b = Shard.run_batch pool ~lines in
-        let b =
-          if retry_shed then
-            retry_shed_pass lines b ~run_line:(fun line ->
-                match (Shard.run_batch pool ~lines:[ line ]).Serve.responses with
-                | r :: _ -> r
-                | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" })
-          else b
-        in
-        ignore (Shard.shutdown pool);
-        print_string (Serve.summary b (Shard.metrics pool));
-        (match out with
-        | None -> ()
-        | Some path -> write_out path (responses_text b));
-        match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path (json_line (Metrics.to_json (Shard.metrics pool)))
-      end
       else begin
-        let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-        let b = Serve.run_batch engine ~lines in
+        let server = Shard.server ~domains ~cache_cap ~queue_bound ~no_cache () in
+        let run lines = Serve.run_lines server.backend ~lines in
+        let b = run lines in
         let b =
           if retry_shed then
             retry_shed_pass lines b ~run_line:(fun line ->
-                match (Serve.run_batch engine ~lines:[ line ]).Serve.responses with
+                match (run [ line ]).responses with
                 | r :: _ -> r
                 | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" })
           else b
         in
-        print_string (Serve.summary b (Engine.metrics engine));
+        ignore (server.stop () : Engine.response list);
+        print_string (Serve.summary b (server.metrics ()));
         (match out with
         | None -> ()
         | Some path -> write_out path (responses_text b));
-        dump_metrics engine metrics_out
+        dump_metrics (server.metrics ()) metrics_out
       end
     end
   in

@@ -109,6 +109,13 @@ let fuzz_round ?fault ~tests ~trials_per_test () =
    carry fault intensity 0. *)
 module Service = Armb_service
 
+(* A workload builds its state when it is about to be measured, outside
+   the timed region, and returns the run to time and what releases the
+   state once the measurement is over. *)
+type workload = unit -> (unit -> int) * (unit -> unit)
+
+let stateless f : workload = fun () -> (f, ignore)
+
 let served (b : Service.Serve.batch) =
   List.fold_left
     (fun acc (r : Service.Engine.response) ->
@@ -117,49 +124,44 @@ let served (b : Service.Serve.batch) =
       | _ -> acc)
     0 b.Service.Serve.responses
 
-let serve_cold ~requests () =
-  let lines = Service.Serve.demo_requests ~requests ~seed:11 () in
-  let engine = Service.Engine.create ~no_cache:true ~queue_bound:(max 256 requests) () in
-  served (Service.Serve.run_batch engine ~lines)
+let demo requests = Service.Serve.demo_requests ~requests ~seed:11 ()
 
-(* The populating pass runs at workload-construction time, outside the
-   timed region: only cache service is measured. *)
-let serve_warm ~requests =
-  let lines = Service.Serve.demo_requests ~requests ~seed:11 () in
-  let engine = Service.Engine.create ~queue_bound:(max 256 requests) () in
+let serve_cold ~requests () =
+  let engine = Service.Engine.create ~no_cache:true ~queue_bound:(max 256 requests) () in
+  served (Service.Serve.run_batch engine ~lines:(demo requests))
+
+(* Only cache service is timed: the populating pass is set-up. *)
+let serve_warm lines : workload =
+ fun () ->
+  let engine = Service.Engine.create ~queue_bound:(max 256 (List.length lines)) () in
   ignore (Service.Serve.run_batch engine ~lines : Service.Serve.batch);
-  fun () -> served (Service.Serve.run_batch engine ~lines)
+  ((fun () -> served (Service.Serve.run_batch engine ~lines)), ignore)
 
 (* The sharded service over the Zipf-skewed batch: serve-zipf-warm is
    the single-domain baseline on the same traffic the shard pool gets,
    so the sharded/single ratio isolates the domain layer from the
    traffic shape.  serve-sharded-cold includes pool spawn + shutdown
-   (the deployment cost); serve-sharded-warm times a second batch
-   against already-warm shard caches, pool construction and the warming
-   pass outside the timed region.  On hosts with fewer cores than
-   domains these measure time-slicing overhead, not scaling — the
-   scaling table in EXPERIMENTS.md records both. *)
-let serve_zipf_warm ~requests =
-  let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
-  let engine = Service.Engine.create ~queue_bound:(max 256 requests) () in
-  ignore (Service.Serve.run_batch engine ~lines : Service.Serve.batch);
-  fun () -> served (Service.Serve.run_batch engine ~lines)
+   (the deployment cost); serve-sharded-warm times a batch against
+   already-warm shard caches, with pool construction and the warming
+   pass as set-up, and shuts the pool down before the next workload.
+   On hosts with fewer cores than domains these measure time-slicing
+   overhead, not scaling — the scaling table in EXPERIMENTS.md records
+   both. *)
+let zipf requests = Service.Serve.zipf_requests ~requests ~seed:11 ()
 
 let serve_sharded_cold ~domains ~requests () =
-  let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
   let pool = Service.Shard.create ~domains ~queue_bound:(max 256 requests) () in
-  let events = served (Service.Shard.run_batch pool ~lines) in
+  let events = served (Service.Shard.run_batch pool ~lines:(zipf requests)) in
   ignore (Service.Shard.shutdown pool : Service.Engine.response list);
   events
 
-(* The warm pool outlives the measurement (the process exits right
-   after); keep sharded workloads last so idle shards never overlap a
-   timed region. *)
-let serve_sharded_warm ~domains ~requests =
-  let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
+let serve_sharded_warm ~domains ~requests : workload =
+ fun () ->
+  let lines = zipf requests in
   let pool = Service.Shard.create ~domains ~queue_bound:(max 256 requests) () in
   ignore (Service.Shard.run_batch pool ~lines : Service.Serve.batch);
-  fun () -> served (Service.Shard.run_batch pool ~lines)
+  ( (fun () -> served (Service.Shard.run_batch pool ~lines)),
+    fun () -> ignore (Service.Shard.shutdown pool : Service.Engine.response list) )
 
 (* The many-core scalability workloads: a 256-core manycore machine
    running barrier episodes.  many-core-central hammers one fetch-add
@@ -183,12 +185,36 @@ let many_core ~kind ~cores ~episodes ~work () =
 
 (* ---------- harness ---------- *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let events = f () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let events_per_sec = if events > 0 && wall_s > 0. then float_of_int events /. wall_s else 0. in
-  (events, wall_s, events_per_sec)
+(* Every workload runs in each of [rounds] passes over the whole list,
+   building and releasing its state each time; a pass times runs until
+   they took [round_s] (at least one run), and the first pass is a
+   warm-up whose runs are dropped.  The sample is the median of all
+   timed runs.  On a shared host the speed of the same code moves by a
+   quarter within seconds, so runs spread over the whole measurement
+   keep one slow moment from setting a workload's number. *)
+let rounds = 5
+
+let round_s = 0.1
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* One pass of [w]: (events, wall seconds) per run. *)
+let time_round (w : workload) =
+  let run, release = w () in
+  Fun.protect ~finally:release (fun () ->
+      let clock = Service.Clock.create () in
+      let rec go spent acc =
+        let t0 = Service.Clock.now_us clock in
+        let events = run () in
+        let wall = float_of_int (Service.Clock.elapsed_us clock ~since:t0) /. 1e6 in
+        let acc = (events, wall) :: acc in
+        if spent +. wall >= round_s then acc else go (spent +. wall) acc
+      in
+      go 0. [])
 
 let run ?(quick = false) ?fault ?only ?(progress = fun _ -> ()) () =
   (* Record whether a fault plan perturbed the measurement: a perturbed
@@ -206,35 +232,39 @@ let run ?(quick = false) ?fault ?only ?(progress = fun _ -> ()) () =
   let workloads =
     if quick then
       [
-        ("fig3-slice", fig3_slice ~iters:4000 ~nop_counts:[ 100; 700 ]);
-        ("litmus-catalogue", litmus_catalogue ?fault ~trials:800);
-        ("fig6a-ring", fig6a_ring ?fault ~messages:40000);
-        ("fuzz-round", fuzz_round ?fault ~tests:30 ~trials_per_test:120);
-        ("serve-cold", serve_cold ~requests:120);
-        ("serve-warm", serve_warm ~requests:120);
-        ("serve-zipf-warm", serve_zipf_warm ~requests:120);
-        ("serve-sharded-cold", serve_sharded_cold ~domains:2 ~requests:120);
+        ("fig3-slice", stateless (fig3_slice ~iters:4000 ~nop_counts:[ 100; 700 ]));
+        ("litmus-catalogue", stateless (litmus_catalogue ?fault ~trials:800));
+        ("fig6a-ring", stateless (fig6a_ring ?fault ~messages:40000));
+        ("fuzz-round", stateless (fuzz_round ?fault ~tests:30 ~trials_per_test:120));
+        ("serve-cold", stateless (serve_cold ~requests:120));
+        ("serve-warm", serve_warm (demo 120));
+        ("serve-zipf-warm", serve_warm (zipf 120));
+        ("serve-sharded-cold", stateless (serve_sharded_cold ~domains:2 ~requests:120));
         ("serve-sharded-warm", serve_sharded_warm ~domains:2 ~requests:120);
         ( "many-core-central",
-          many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:2 ~work:64 );
+          stateless
+            (many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:2 ~work:64) );
         ( "many-core-tree",
-          many_core ~kind:(Armb_sync.Sync_barrier.Tree 4) ~cores:256 ~episodes:2 ~work:64 );
+          stateless
+            (many_core ~kind:(Armb_sync.Sync_barrier.Tree 4) ~cores:256 ~episodes:2 ~work:64) );
       ]
     else
       [
-        ("fig3-slice", fig3_slice ~iters:15000 ~nop_counts:[ 100; 300; 500; 700 ]);
-        ("litmus-catalogue", litmus_catalogue ?fault ~trials:2000);
-        ("fig6a-ring", fig6a_ring ?fault ~messages:100000);
-        ("fuzz-round", fuzz_round ?fault ~tests:60 ~trials_per_test:150);
-        ("serve-cold", serve_cold ~requests:400);
-        ("serve-warm", serve_warm ~requests:400);
-        ("serve-zipf-warm", serve_zipf_warm ~requests:400);
-        ("serve-sharded-cold", serve_sharded_cold ~domains:4 ~requests:400);
+        ("fig3-slice", stateless (fig3_slice ~iters:15000 ~nop_counts:[ 100; 300; 500; 700 ]));
+        ("litmus-catalogue", stateless (litmus_catalogue ?fault ~trials:2000));
+        ("fig6a-ring", stateless (fig6a_ring ?fault ~messages:100000));
+        ("fuzz-round", stateless (fuzz_round ?fault ~tests:60 ~trials_per_test:150));
+        ("serve-cold", stateless (serve_cold ~requests:400));
+        ("serve-warm", serve_warm (demo 400));
+        ("serve-zipf-warm", serve_warm (zipf 400));
+        ("serve-sharded-cold", stateless (serve_sharded_cold ~domains:4 ~requests:400));
         ("serve-sharded-warm", serve_sharded_warm ~domains:4 ~requests:400);
         ( "many-core-central",
-          many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:32 ~work:64 );
+          stateless
+            (many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:32 ~work:64) );
         ( "many-core-tree",
-          many_core ~kind:(Armb_sync.Sync_barrier.Tree 4) ~cores:256 ~episodes:32 ~work:64 );
+          stateless
+            (many_core ~kind:(Armb_sync.Sync_barrier.Tree 4) ~cores:256 ~episodes:32 ~work:64) );
       ]
   in
   let workloads =
@@ -251,11 +281,24 @@ let run ?(quick = false) ?fault ?only ?(progress = fun _ -> ()) () =
         ids;
       List.filter (fun (name, _) -> List.mem name ids) workloads
   in
-  let samples =
+  let pass ~warm_up =
     List.map
-      (fun (name, f) ->
-        progress name;
-        let events, wall_s, events_per_sec = time f in
+      (fun (name, w) ->
+        if warm_up then progress name;
+        time_round w)
+      workloads
+  in
+  ignore (pass ~warm_up:true);
+  let passes = List.init rounds (fun _ -> pass ~warm_up:false) in
+  let samples =
+    List.mapi
+      (fun i (name, _) ->
+        let runs = List.concat_map (fun p -> List.nth p i) passes in
+        let events = fst (List.hd runs) in
+        let wall_s = median (List.map snd runs) in
+        let events_per_sec =
+          if events > 0 && wall_s > 0. then float_of_int events /. wall_s else 0.
+        in
         { name; events; wall_s; events_per_sec })
       workloads
   in

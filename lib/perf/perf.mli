@@ -6,17 +6,21 @@
     and two 256-core barrier workloads (many-core-central /
     many-core-tree) that stress wide sharer sets and same-timestamp
     event bursts — and reports events processed, wall time and
-    events/second for each.  The
-    workloads are deterministic (fixed seeds); only the wall-clock
-    measurements vary between runs.  Results serialize to
+    events/second for each.  The harness makes one warm-up pass and 5
+    timed passes over the workloads; in each pass a workload builds its
+    state, runs on the monotonic clock until its runs took 100 ms (at
+    least one run), and releases the state (a shard pool shuts down)
+    before the next workload starts.  The median of a workload's timed
+    runs is its sample.  The workloads are deterministic (fixed seeds);
+    only the wall-clock measurements vary between runs.  Results serialize to
     [BENCH_perf.json] so successive PRs can track the kernel's
     throughput trajectory, and a committed baseline can gate
     regressions in CI. *)
 
 type sample = {
   name : string;
-  events : int;  (** kernel events processed (0 when not measurable) *)
-  wall_s : float;
+  events : int;  (** kernel events processed per run (0 when not measurable) *)
+  wall_s : float;  (** the median run *)
   events_per_sec : float;  (** 0 when [events] is 0 *)
 }
 
@@ -40,7 +44,7 @@ val run :
     null plan counts as faults-off); [only] restricts the run to the
     named workloads, preserving the canonical order — an unknown name
     raises [Invalid_argument] listing the valid ids; [progress]
-    receives one message per workload as it starts. *)
+    receives one message per workload as it starts its warm-up. *)
 
 val pp : Format.formatter -> results -> unit
 

@@ -73,11 +73,12 @@ let pending t = t.queued
 let metrics t = t.metrics
 let totals t = (t.computations_done, t.wall_us_total)
 
-let retry_after_ms t =
-  (* expected time to drain the current queue, from the mean completed
-     computation cost; 50ms until we have measured anything *)
-  if t.computations_done = 0 then 50
-  else max 1 (t.queued * t.wall_us_total / t.computations_done / 1000)
+(* expected time to drain [queued] computations at the mean completed
+   computation cost; 50ms until we have measured anything *)
+let retry_hint ~queued (done_, wall_us) =
+  if done_ = 0 then 50 else max 1 (queued * wall_us / done_ / 1000)
+
+let retry_after_ms t = retry_hint ~queued:t.queued (totals t)
 
 let lane_for level client =
   match Hashtbl.find_opt level.lanes client with

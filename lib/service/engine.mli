@@ -77,6 +77,12 @@ val metrics : t -> Metrics.t
 
 val totals : t -> int * int
 (** [(computations_done, wall_us_total)] — the completed-work account
-    behind retry-after hints.  The sharded router folds every shard's
-    totals into one delegated cell so its hints reflect global
+    behind retry-after hints.  Each shard worker publishes its engine's
+    totals in an [Atomic] after every drain, and the sharded router
+    prices its hints from their sum, so they reflect global
     progress. *)
+
+val retry_hint : queued:int -> int * int -> int
+(** The shed hint, ms, from a {!totals} account: the time [queued]
+    computations take at the mean completed cost, 50 before anything
+    completed. *)

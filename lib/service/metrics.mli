@@ -32,9 +32,9 @@ val add_events : t -> int -> unit
 
 val merge_into : dst:t -> t -> unit
 (** Fold [src] into [dst]: counters add, queue-depth peaks take the
-    max, latency histograms merge bucket-by-bucket.  The sharded
-    service aggregates per-domain engine metrics with this under a
-    ticket lock at shutdown. *)
+    max, latency histograms merge bucket-by-bucket.  A shard pool's
+    shutdown folds each worker's engine metrics, as its domain returns
+    them, into the pool aggregate with this. *)
 
 (** {2 Reading} *)
 

@@ -8,15 +8,129 @@ let emitter oc =
     Buffer.add_char b '\n';
     Buffer.output_buffer oc b
 
-(* ---------- streaming mode ---------- *)
+(* ---------- slot bookkeeping ---------- *)
+
+(* Requests answered by a later drain are matched back to their input
+   slot by id.  Ids are caller-chosen and may repeat, so each id keys a
+   FIFO of slot indices; drain order within an id is submission order.
+   An id's entry goes once its FIFO empties, so a long-lived map holds
+   only the ids still waiting. *)
+module Slot_map = struct
+  type t = {
+    waiting : (string, int Queue.t) Hashtbl.t;
+    mutable expected : int;  (* slots still waiting for a response *)
+  }
+
+  let create () = { waiting = Hashtbl.create 64; expected = 0 }
+
+  let expect t ~id ~slot =
+    let q =
+      match Hashtbl.find_opt t.waiting id with
+      | Some q -> q
+      | None ->
+        let q = Queue.create () in
+        Hashtbl.add t.waiting id q;
+        q
+    in
+    Queue.push slot q;
+    t.expected <- t.expected + 1
+
+  let resolve t ~id =
+    match Hashtbl.find_opt t.waiting id with
+    | Some q ->
+      let slot = Queue.pop q in
+      if Queue.is_empty q then Hashtbl.remove t.waiting id;
+      t.expected <- t.expected - 1;
+      Some slot
+    | None -> None
+
+  let pending t = t.expected
+
+  let leftovers t =
+    if t.expected = 0 then []
+    else begin
+      let left =
+        Hashtbl.fold
+          (fun id q acc -> Queue.fold (fun acc slot -> (id, slot) :: acc) acc q)
+          t.waiting []
+      in
+      Hashtbl.reset t.waiting;
+      t.expected <- 0;
+      List.sort (fun (_, a) (_, b) -> compare a b) left
+    end
+end
+
+let orphan_response (resp : Engine.response) =
+  {
+    resp with
+    Engine.reply =
+      Engine.Error
+        (Printf.sprintf "orphaned response (no request slot waiting under id %S)"
+           resp.Engine.id);
+  }
+
+let unanswered_response ~id =
+  {
+    Engine.id;
+    client = "anon";
+    reply = Engine.Error "request produced no response (engine dropped it)";
+  }
+
+(* ---------- backends ---------- *)
 
 type backend = {
-  accept : lineno:int -> Engine.request -> unit;
+  accept : slot:int -> Engine.request -> unit;
   answer : idle:bool -> float;
   finish : unit -> unit;
 }
 
-(* One loop for both backends.  It reads a line only when one is ready
+type emit = slot:int -> Engine.response -> unit
+
+(* The one loop around [Engine.submit] and [Engine.drain].  Every
+   drained response goes to the slot waiting under its id; one nothing
+   waits for is an orphan row (slot -1), and a slot still waiting after
+   a drain, which runs to exhaustion, becomes an unanswered row — so
+   every accepted request gets exactly one row.  [drain_every = max_int]
+   is the batch policy: queued work waits for [finish], so duplicates
+   keep coalescing. *)
+let driver ?(drain_every = 16) engine ~(emit : emit) =
+  let waiting = Slot_map.create () in
+  let hold = drain_every = max_int in
+  let drain () =
+    List.iter
+      (fun (resp : Engine.response) ->
+        match Slot_map.resolve waiting ~id:resp.Engine.id with
+        | Some slot -> emit ~slot resp
+        | None -> emit ~slot:(-1) (orphan_response resp))
+      (Engine.drain engine);
+    List.iter
+      (fun (id, slot) -> emit ~slot (unanswered_response ~id))
+      (Slot_map.leftovers waiting)
+  in
+  {
+    accept =
+      (fun ~slot req ->
+        match Engine.submit engine req with
+        | Some resp -> emit ~slot resp
+        | None -> Slot_map.expect waiting ~id:req.Engine.id ~slot);
+    answer =
+      (fun ~idle ->
+        let n = Engine.pending engine in
+        if n >= drain_every || (idle && n > 0 && not hold) then drain ();
+        if hold || Engine.pending engine = 0 then infinity else 0.);
+    finish = drain;
+  }
+
+(* Decode one input line for the backend; a line that does not decode
+   is answered at once. *)
+let accept_line b ~(emit : emit) ~slot ~default_id line =
+  match Codec.request_of_line ~default_id line with
+  | Error e -> emit ~slot { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
+  | Ok req -> b.accept ~slot req
+
+(* ---------- streaming mode ---------- *)
+
+(* One loop for every backend.  It reads a line only when one is ready
    while an answer is pending ([answer] returned 0), and otherwise
    blocks on input for as long as [answer] allows, capped by the time
    left before [duration_s].  Output is flushed before every blocking
@@ -29,7 +143,8 @@ type backend = {
    unread input is simply left unread.  So a bounded serve is a prefix
    of the unbounded one: same responses, same order, truncated input. *)
 let stream ?max_requests ?duration_s backend ic oc =
-  let emit = emitter oc in
+  let write = emitter oc in
+  let emit ~slot:_ r = write r in
   let b = backend ~emit in
   let reader = Line_reader.create (Unix.descr_of_in_channel ic) in
   let clock = Clock.create () in
@@ -54,10 +169,7 @@ let stream ?max_requests ?duration_s backend ic oc =
       | Line_reader.Line line when String.trim line = "" -> loop ~lineno:(lineno + 1) ~accepted wait
       | Line_reader.Line line ->
         let lineno = lineno + 1 in
-        let default_id = string_of_int lineno in
-        (match Codec.request_of_line ~default_id line with
-        | Error e -> emit { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
-        | Ok req -> b.accept ~lineno req);
+        accept_line b ~emit ~slot:lineno ~default_id:(string_of_int lineno) line;
         loop ~lineno ~accepted:(accepted + 1) (b.answer ~idle:false)
     end
   in
@@ -65,121 +177,34 @@ let stream ?max_requests ?duration_s backend ic oc =
   b.finish ();
   flush oc
 
-let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
-  stream ?max_requests ?duration_s
-    (fun ~emit ->
-      let drain () = List.iter emit (Engine.drain engine) in
-      {
-        accept = (fun ~lineno:_ req -> Option.iter emit (Engine.submit engine req));
-        answer =
-          (fun ~idle ->
-            let n = Engine.pending engine in
-            if n >= drain_every || (idle && n > 0) then drain ();
-            if Engine.pending engine = 0 then infinity else 0.);
-        finish = drain;
-      })
-    ic oc
-
-(* ---------- slot bookkeeping ---------- *)
-
-(* Requests answered by a later drain are matched back to their input
-   slot by id.  Ids are caller-chosen and may repeat, so each id keys a
-   FIFO of slot indices; drain order within an id is submission order.
-   The map also remembers each slot's id so unanswered slots can be
-   surfaced instead of silently vanishing. *)
-module Slot_map = struct
-  type t = {
-    waiting : (string, int Queue.t) Hashtbl.t;
-    mutable expected : int;  (* slots still waiting for a response *)
-  }
-
-  let create () = { waiting = Hashtbl.create 64; expected = 0 }
-
-  let expect t ~id ~slot =
-    let q =
-      match Hashtbl.find_opt t.waiting id with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add t.waiting id q;
-        q
-    in
-    Queue.push slot q;
-    t.expected <- t.expected + 1
-
-  let resolve t ~id =
-    match Hashtbl.find_opt t.waiting id with
-    | Some q when not (Queue.is_empty q) ->
-      t.expected <- t.expected - 1;
-      Some (Queue.pop q)
-    | _ -> None
-
-  let pending t = t.expected
-
-  let leftovers t =
-    Hashtbl.fold
-      (fun id q acc -> Queue.fold (fun acc slot -> (id, slot) :: acc) acc q)
-      t.waiting []
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-end
-
-let orphan_response (resp : Engine.response) =
-  {
-    resp with
-    Engine.reply =
-      Engine.Error
-        (Printf.sprintf "orphaned response (no request slot waiting under id %S)"
-           resp.Engine.id);
-  }
-
-let unanswered_response ~id =
-  {
-    Engine.id;
-    client = "anon";
-    reply = Engine.Error "request produced no response (engine dropped it)";
-  }
+let serve ?drain_every ?max_requests ?duration_s engine =
+  stream ?max_requests ?duration_s (driver ?drain_every engine)
 
 (* ---------- one-shot batch mode ---------- *)
 
 type batch = { responses : Engine.response list; wall_s : float }
 
-let run_batch engine ~lines =
+(* Slot [i] is the [i]th non-blank line; orphan rows go after the last
+   slot, in the order they came. *)
+let run_lines backend ~lines =
   let clock = Clock.create () in
   let t0 = Clock.now_us clock in
   let items =
-    List.mapi (fun i line -> (i, line)) lines
+    List.mapi (fun i line -> (i + 1, line)) lines
     |> List.filter (fun (_, line) -> String.trim line <> "")
   in
   let slots : Engine.response option array = Array.make (List.length items) None in
-  let waiting = Slot_map.create () in
+  let orphans = ref [] in
+  let emit ~slot resp =
+    if slot >= 0 then slots.(slot) <- Some resp else orphans := resp :: !orphans
+  in
+  let b = backend ~emit in
   List.iteri
     (fun slot (lineno, line) ->
-      let default_id = string_of_int (lineno + 1) in
-      match Codec.request_of_line ~default_id line with
-      | Error e ->
-        slots.(slot) <-
-          Some { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
-      | Ok req -> (
-        match Engine.submit engine req with
-        | Some resp -> slots.(slot) <- Some resp
-        | None -> Slot_map.expect waiting ~id:req.Engine.id ~slot))
+      accept_line b ~emit ~slot ~default_id:(string_of_int lineno) line;
+      ignore (b.answer ~idle:false : float))
     items;
-  (* A drained response with no waiting slot is *not* silently dropped:
-     it is surfaced as an error row (it can only mean the engine held
-     work submitted outside this batch).  Conversely a slot left
-     unanswered after the drain becomes an error row too, so
-     |responses| >= |items| always — response-count conservation. *)
-  let orphans = ref [] in
-  List.iter
-    (fun (resp : Engine.response) ->
-      match Slot_map.resolve waiting ~id:resp.Engine.id with
-      | Some slot -> slots.(slot) <- Some resp
-      | None -> orphans := orphan_response resp :: !orphans)
-    (Engine.drain engine);
-  List.iter
-    (fun (id, slot) ->
-      if slots.(slot) = None then slots.(slot) <- Some (unanswered_response ~id))
-    (Slot_map.leftovers waiting);
+  b.finish ();
   let responses =
     Array.to_list
       (Array.map
@@ -189,7 +214,24 @@ let run_batch engine ~lines =
   in
   { responses; wall_s = float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 }
 
-(* ---------- warm vs cold ---------- *)
+let run_batch engine ~lines = run_lines (driver ~drain_every:max_int engine) ~lines
+
+(* ---------- engine or pool ---------- *)
+
+type server = {
+  backend : emit:emit -> backend;
+  metrics : unit -> Metrics.t;
+  stop : unit -> Engine.response list;
+}
+
+let of_engine ?drain_every engine =
+  {
+    backend = driver ?drain_every engine;
+    metrics = (fun () -> Engine.metrics engine);
+    stop = (fun () -> []);
+  }
+
+(* ---------- comparisons ---------- *)
 
 type comparison = {
   cold : batch;
@@ -206,29 +248,35 @@ let signature (r : Engine.response) =
   | Engine.Shed _ -> ("shed", "")
   | Engine.Error m -> ("error", m)
 
-let compare_cold ?(cache_cap = 512) ?queue_bound ~lines () =
-  let queue_bound =
-    match queue_bound with Some b -> b | None -> max 256 (List.length lines)
+(* Each server is started, run and stopped before the next one starts,
+   so neither's domains overlap the other's timed batch. *)
+let compare_servers ~lines first second =
+  let run start =
+    let s = start () in
+    let b = run_lines s.backend ~lines in
+    let stray = s.stop () in
+    (b, s.metrics (), stray = [])
   in
-  let cold_engine = Engine.create ~queue_bound ~no_cache:true () in
-  let warm_engine = Engine.create ~cache_cap ~queue_bound () in
-  let cold = run_batch cold_engine ~lines in
-  let warm = run_batch warm_engine ~lines in
+  let cold, cold_metrics, cold_clean = run first in
+  let warm, warm_metrics, warm_clean = run second in
   let identical =
-    List.length cold.responses = List.length warm.responses
+    cold_clean && warm_clean
+    && List.length cold.responses = List.length warm.responses
     && List.for_all2
          (fun a b -> signature a = signature b)
          cold.responses warm.responses
   in
   let speedup = if warm.wall_s > 0. then cold.wall_s /. warm.wall_s else 0. in
-  {
-    cold;
-    warm;
-    cold_metrics = Engine.metrics cold_engine;
-    warm_metrics = Engine.metrics warm_engine;
-    identical;
-    speedup;
-  }
+  { cold; warm; cold_metrics; warm_metrics; identical; speedup }
+
+let compare_cold ?(cache_cap = 512) ?queue_bound ~lines () =
+  let queue_bound =
+    match queue_bound with Some b -> b | None -> max 256 (List.length lines)
+  in
+  let server ?no_cache () =
+    of_engine ~drain_every:max_int (Engine.create ~cache_cap ~queue_bound ?no_cache ())
+  in
+  compare_servers ~lines (server ~no_cache:true) server
 
 (* ---------- deterministic demo batch ---------- *)
 

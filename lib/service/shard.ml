@@ -8,15 +8,16 @@
    lanes are partitioned by job hash and shards share no mutable job
    state — the hot path needs no lock at all.  The expensive per-request
    work (canonical keying, execution) happens on the shard; the router
-   only parses and hashes.
+   only parses and hashes.  Each worker runs its engine through the
+   same driver as the single engine ({!Serve.driver}), emitting onto
+   its row ring.
 
    The data plane is one pair of SPSC rings per worker
    ({!Armb_runtime.Spsc_ring.Poly}, the paper's Algorithm 2 protocol
-   over boxed payloads).  The control plane reuses the runtime's
-   delegation primitives: every shard folds its completed-work account
-   into one global cell through a DSM-Synch combining lock, so the
-   router's shed hints reflect global progress, and per-shard engine
-   metrics merge into one aggregate under a ticket lock at shutdown.
+   over boxed payloads).  The control plane is plain: each worker
+   publishes its completed-work account in an [Atomic] after each
+   drain, which the router sums to price shed hints, and returns its
+   engine's metrics from its domain, which [shutdown] merges.
 
    Deadlock freedom: the only blocking sends are router -> requests and
    worker -> rows.  A router blocked on a full request ring polls every
@@ -25,8 +26,6 @@
 
 module Ring = Armb_runtime.Spsc_ring.Poly
 module Backoff = Armb_runtime.Backoff
-module Ticket_lock = Armb_runtime.Ticket_lock
-module Dsmsynch = Armb_runtime.Dsmsynch
 
 type to_worker =
   | Req of { slot : int; req : Engine.request }
@@ -41,29 +40,20 @@ type from_worker =
 type worker = {
   requests : to_worker Ring.t;
   rows : from_worker Ring.t;
-  domain : unit Domain.t;
+  totals : (int * int) Atomic.t;  (* the shard's Engine.totals after its last drain *)
+  domain : Metrics.t Domain.t;  (* returns the shard engine's metrics *)
 }
 
-(* Completed-work account shared by all shards; mutated only inside
-   [Dsmsynch.exec] closures, which serializes access and publishes the
-   writes to whichever domain delegates next. *)
-type global = { mutable done_ : int; mutable wall_us : int }
-
 type t = {
-  domains : int;
   queue_bound : int;  (* the *global* distinct-computation budget *)
   no_cache : bool;
   workers : worker array;
   points : (int * int) array;  (* consistent-hash ring: (point, shard) sorted *)
-  stats_lock : Dsmsynch.t;
-  global : global;
-  merge_lock : Ticket_lock.t;
-  agg : Metrics.t;  (* per-shard engine metrics fold in at Stop *)
-  router_metrics : Metrics.t;  (* router-side sheds *)
+  agg : Metrics.t;  (* router sheds; shard engine metrics fold in at shutdown *)
   mutable stopped : bool;
 }
 
-let domains t = t.domains
+let domains t = Array.length t.workers
 
 (* ---------- consistent hashing ---------- *)
 
@@ -97,108 +87,72 @@ let shard_of t (req : Engine.request) = shard_of_hash t (Job.route_hash req.Engi
 
 (* ---------- worker domains ---------- *)
 
-let worker_loop ~cache_cap ~queue_bound ~no_cache ~drain_every ~requests ~rows
-    ~stats_lock ~global ~merge_lock ~agg =
+let worker_loop ~cache_cap ~queue_bound ~no_cache ~drain_every ~requests ~rows ~totals =
   let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-  let waiting = ref (Serve.Slot_map.create ()) in
-  let last_done = ref 0 in
-  let last_wall = ref 0 in
-  (* fold this shard's completed-work delta into the global account *)
-  let publish () =
-    let d, w = Engine.totals engine in
-    let dd = d - !last_done and dw = w - !last_wall in
-    if dd > 0 || dw > 0 then begin
-      last_done := d;
-      last_wall := w;
-      ignore
-        (Dsmsynch.exec stats_lock (fun () ->
-             global.done_ <- global.done_ + dd;
-             global.wall_us <- global.wall_us + dw;
-             0))
-    end
+  let b =
+    Serve.driver ~drain_every engine ~emit:(fun ~slot resp ->
+        Ring.send rows (Row { slot; resp }))
   in
-  let drain_all () =
-    List.iter
-      (fun (resp : Engine.response) ->
-        match Serve.Slot_map.resolve !waiting ~id:resp.Engine.id with
-        | Some slot -> Ring.send rows (Row { slot; resp })
-        | None -> Ring.send rows (Row { slot = -1; resp = Serve.orphan_response resp }))
-      (Engine.drain engine);
-    (* [Engine.drain] runs to exhaustion, so anything still expected was
-       dropped by the engine: surface it, same as the single-domain
-       batch runner, and start a fresh map. *)
-    if Serve.Slot_map.pending !waiting > 0 then begin
-      List.iter
-        (fun (id, slot) ->
-          Ring.send rows (Row { slot; resp = Serve.unanswered_response ~id }))
-        (Serve.Slot_map.leftovers !waiting);
-      waiting := Serve.Slot_map.create ()
-    end;
-    publish ()
+  let publish () = Atomic.set totals (Engine.totals engine) in
+  (* publish the completed-work account after a drain, and only then:
+     the idle loop must not allocate *)
+  let answer ~idle =
+    let queued = Engine.pending engine in
+    ignore (b.Serve.answer ~idle : float);
+    if Engine.pending engine < queued then publish ()
   in
-  let b = Backoff.create () in
-  let running = ref true in
-  while !running do
+  let backoff = Backoff.create () in
+  let rec loop () =
     match Ring.try_recv requests with
     | Some (Req { slot; req }) ->
-      Backoff.reset b;
-      (match Engine.submit engine req with
-      | Some resp -> Ring.send rows (Row { slot; resp })
-      | None -> Serve.Slot_map.expect !waiting ~id:req.Engine.id ~slot);
-      if Engine.pending engine >= drain_every then drain_all ()
+      Backoff.reset backoff;
+      b.Serve.accept ~slot req;
+      answer ~idle:false;
+      loop ()
     | Some Drain ->
-      Backoff.reset b;
-      drain_all ();
-      Ring.send rows Drained
+      Backoff.reset backoff;
+      b.Serve.finish ();
+      publish ();
+      Ring.send rows Drained;
+      loop ()
     | Some Stop ->
-      drain_all ();
-      Ticket_lock.with_lock merge_lock (fun () ->
-          Metrics.merge_into ~dst:agg (Engine.metrics engine));
+      b.Serve.finish ();
       Ring.send rows Stopped;
-      running := false
+      Engine.metrics engine
     | None ->
-      (* idle: in streaming mode run queued work eagerly; in batch mode
-         ([drain_every = max_int]) hold it so duplicates keep coalescing
-         until the router says Drain *)
-      if drain_every < max_int && Engine.pending engine > 0 then drain_all ()
-      else Backoff.once b
-  done
+      (* idle: in streaming mode the driver runs queued work now; in
+         batch mode ([drain_every = max_int]) it holds it so duplicates
+         keep coalescing until the router says Drain *)
+      answer ~idle:true;
+      Backoff.once backoff;
+      loop ()
+  in
+  loop ()
 
 let create ?(domains = 2) ?(cache_cap = 512) ?(queue_bound = 256) ?(no_cache = false)
     ?(drain_every = max_int) () =
   if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
   if queue_bound < 1 then invalid_arg "Shard.create: queue_bound must be >= 1";
-  let stats_lock = Dsmsynch.create () in
-  let global = { done_ = 0; wall_us = 0 } in
-  let merge_lock = Ticket_lock.create () in
-  let agg = Metrics.create () in
   let workers =
     Array.init domains (fun _ ->
         let requests = Ring.create ~slots:1024 in
         let rows = Ring.create ~slots:1024 in
+        let totals = Atomic.make (0, 0) in
         let domain =
           Domain.spawn (fun () ->
               worker_loop ~cache_cap ~queue_bound ~no_cache ~drain_every ~requests
-                ~rows ~stats_lock ~global ~merge_lock ~agg)
+                ~rows ~totals)
         in
-        { requests; rows; domain })
+        { requests; rows; totals; domain })
   in
   {
-    domains;
     queue_bound;
     no_cache;
     workers;
     points = build_points domains;
-    stats_lock;
-    global;
-    merge_lock;
-    agg;
-    router_metrics = Metrics.create ();
+    agg = Metrics.create ();
     stopped = false;
   }
-
-let ensure_live t name =
-  if t.stopped then invalid_arg (name ^ ": shard pool already shut down")
 
 (* ---------- router-side admission ---------- *)
 
@@ -247,14 +201,18 @@ let settle adm ~no_cache ~rh ~consumed (resp : Engine.response) =
       adm.budget <- adm.budget - 1
     end
 
+(* The single engine's hint over every shard's completed work. *)
 let retry_hint t ~queued =
-  Dsmsynch.exec t.stats_lock (fun () ->
-      if t.global.done_ = 0 then 50
-      else max 1 (queued * t.global.wall_us / t.global.done_ / 1000))
+  Engine.retry_hint ~queued
+    (Array.fold_left
+       (fun (d, w) wk ->
+         let d', w' = Atomic.get wk.totals in
+         (d + d', w + w'))
+       (0, 0) t.workers)
 
 let shed_response t adm (req : Engine.request) =
-  Metrics.submitted t.router_metrics;
-  Metrics.shed t.router_metrics;
+  Metrics.submitted t.agg;
+  Metrics.shed t.agg;
   {
     Engine.id = req.Engine.id;
     client = req.Engine.client;
@@ -286,77 +244,7 @@ let forward t handle w msg =
     done
   end
 
-let await_drained t handle drained =
-  Array.iter (fun w -> forward t handle w Drain) t.workers;
-  let b = Backoff.create () in
-  while !drained < t.domains do
-    let before = !drained in
-    poll t handle;
-    if !drained = before then Backoff.once b else Backoff.reset b
-  done
-
-(* ---------- one-shot batch mode ---------- *)
-
-let run_batch t ~lines =
-  ensure_live t "Shard.run_batch";
-  let clock = Clock.create () in
-  let t0 = Clock.now_us clock in
-  let items =
-    List.mapi (fun i line -> (i, line)) lines
-    |> List.filter (fun (_, line) -> String.trim line <> "")
-  in
-  let nslots = List.length items in
-  let slots : Engine.response option array = Array.make nslots None in
-  let rh_of_slot = Array.make nslots (-1) in
-  let consumed_of_slot = Array.make nslots false in
-  let orphans = ref [] in
-  let adm = admission_create () in
-  let drained = ref 0 in
-  let handle = function
-    | Row { slot; resp } ->
-      if slot < 0 then orphans := resp :: !orphans
-      else begin
-        slots.(slot) <- Some resp;
-        if rh_of_slot.(slot) >= 0 then
-          settle adm ~no_cache:t.no_cache ~rh:rh_of_slot.(slot)
-            ~consumed:consumed_of_slot.(slot) resp
-      end
-    | Drained -> incr drained
-    | Stopped -> ()
-  in
-  List.iteri
-    (fun slot (lineno, line) ->
-      let default_id = string_of_int (lineno + 1) in
-      (match Codec.request_of_line ~default_id line with
-      | Error e ->
-        slots.(slot) <-
-          Some { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
-      | Ok req -> (
-        let rh = Job.route_hash req.Engine.job in
-        match admit adm ~no_cache:t.no_cache ~bound:t.queue_bound rh with
-        | None -> slots.(slot) <- Some (shed_response t adm req)
-        | Some consumed ->
-          rh_of_slot.(slot) <- rh;
-          consumed_of_slot.(slot) <- consumed;
-          forward t handle t.workers.(shard_of_hash t rh) (Req { slot; req })));
-      poll t handle)
-    items;
-  await_drained t handle drained;
-  (* same conservation contract as Serve.run_batch: one row per slot in
-     input order, orphans appended, nothing silently dropped *)
-  let responses =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> Serve.unanswered_response ~id:"?")
-         slots)
-    @ List.rev !orphans
-  in
-  {
-    Serve.responses;
-    wall_s = float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6;
-  }
-
-(* ---------- streaming mode ---------- *)
+(* ---------- the router backend ---------- *)
 
 (* While a forwarded request is unanswered and no input line is ready,
    the router polls the row rings between polls of the input: back to
@@ -368,53 +256,66 @@ let spin_us = 200
 
 let idle_wait_s = 0.0005
 
-let serve ?max_requests ?duration_s t ic oc =
-  ensure_live t "Shard.serve";
-  Serve.stream ?max_requests ?duration_s
-    (fun ~emit ->
-      let adm = admission_create () in
-      let tracked : (int, int * bool) Hashtbl.t = Hashtbl.create 256 in
-      let drained = ref 0 in
-      let clock = Clock.create () in
-      let quiet_since = ref None in
-      let handle = function
-        | Row { slot; resp } ->
-          (match Hashtbl.find_opt tracked slot with
-          | Some (rh, consumed) ->
-            Hashtbl.remove tracked slot;
-            settle adm ~no_cache:t.no_cache ~rh ~consumed resp
-          | None -> ());
-          emit resp
-        | Drained -> incr drained
-        | Stopped -> ()
-      in
-      {
-        Serve.accept =
-          (fun ~lineno req ->
-            let rh = Job.route_hash req.Engine.job in
-            match admit adm ~no_cache:t.no_cache ~bound:t.queue_bound rh with
-            | None -> emit (shed_response t adm req)
-            | Some consumed ->
-              Hashtbl.replace tracked lineno (rh, consumed);
-              forward t handle t.workers.(shard_of_hash t rh) (Req { slot = lineno; req }));
-        answer =
-          (fun ~idle ->
-            let before = Hashtbl.length tracked in
-            poll t handle;
-            let waiting = Hashtbl.length tracked in
-            if waiting > 0 && idle && waiting = before then begin
-              let now = Clock.now_us clock in
-              let since = Option.value !quiet_since ~default:now in
-              quiet_since := Some since;
-              if now - since < spin_us then 0. else idle_wait_s
-            end
-            else begin
-              quiet_since := None;
-              if waiting > 0 then 0. else infinity
-            end);
-        finish = (fun () -> await_drained t handle drained);
-      })
-    ic oc
+(* One run over the pool, for a stream or a batch: admission, routing,
+   the rows coming back, and a drain barrier on every shard at
+   [finish]. *)
+let backend t ~(emit : Serve.emit) =
+  if t.stopped then invalid_arg "Shard: shard pool already shut down";
+  let adm = admission_create () in
+  let tracked : (int, int * bool) Hashtbl.t = Hashtbl.create 256 in
+  let drained = ref 0 in
+  let clock = Clock.create () in
+  let quiet_since = ref None in
+  let handle = function
+    | Row { slot; resp } ->
+      (match Hashtbl.find_opt tracked slot with
+      | Some (rh, consumed) ->
+        Hashtbl.remove tracked slot;
+        settle adm ~no_cache:t.no_cache ~rh ~consumed resp
+      | None -> ());
+      emit ~slot resp
+    | Drained -> incr drained
+    | Stopped -> ()
+  in
+  {
+    Serve.accept =
+      (fun ~slot req ->
+        let rh = Job.route_hash req.Engine.job in
+        match admit adm ~no_cache:t.no_cache ~bound:t.queue_bound rh with
+        | None -> emit ~slot (shed_response t adm req)
+        | Some consumed ->
+          Hashtbl.replace tracked slot (rh, consumed);
+          forward t handle t.workers.(shard_of_hash t rh) (Req { slot; req }));
+    answer =
+      (fun ~idle ->
+        let before = Hashtbl.length tracked in
+        poll t handle;
+        let waiting = Hashtbl.length tracked in
+        if waiting > 0 && idle && waiting = before then begin
+          let now = Clock.now_us clock in
+          let since = Option.value !quiet_since ~default:now in
+          quiet_since := Some since;
+          if now - since < spin_us then 0. else idle_wait_s
+        end
+        else begin
+          quiet_since := None;
+          if waiting > 0 then 0. else infinity
+        end);
+    finish =
+      (fun () ->
+        drained := 0;
+        Array.iter (fun w -> forward t handle w Drain) t.workers;
+        let b = Backoff.create () in
+        while !drained < domains t do
+          let before = !drained in
+          poll t handle;
+          if !drained = before then Backoff.once b else Backoff.reset b
+        done);
+  }
+
+let run_batch t ~lines = Serve.run_lines (backend t) ~lines
+
+let serve ?max_requests ?duration_s t = Serve.stream ?max_requests ?duration_s (backend t)
 
 (* ---------- shutdown ---------- *)
 
@@ -445,12 +346,21 @@ let shutdown t =
             wait ()
         in
         wait ();
-        Domain.join w.domain)
+        Metrics.merge_into ~dst:t.agg (Domain.join w.domain))
       t.workers;
-    Ticket_lock.with_lock t.merge_lock (fun () ->
-        Metrics.merge_into ~dst:t.agg t.router_metrics);
     List.rev !stray
   end
+
+(* ---------- engine or pool ---------- *)
+
+let of_pool t =
+  { Serve.backend = backend t; metrics = (fun () -> metrics t); stop = (fun () -> shutdown t) }
+
+let server ?(domains = 1) ?(cache_cap = 512) ?(queue_bound = 256) ?(no_cache = false)
+    ?(drain_every = max_int) () =
+  if domains <= 1 then
+    Serve.of_engine ~drain_every (Engine.create ~cache_cap ~queue_bound ~no_cache ())
+  else of_pool (create ~domains ~cache_cap ~queue_bound ~no_cache ~drain_every ())
 
 (* ---------- sharded vs single-domain comparison ---------- *)
 
@@ -468,29 +378,17 @@ let compare_single ?(cache_cap = 512) ?queue_bound ~domains:n ~lines () =
   let queue_bound =
     match queue_bound with Some b -> b | None -> max 256 (List.length lines)
   in
-  let engine = Engine.create ~cache_cap ~queue_bound () in
-  let single = Serve.run_batch engine ~lines in
-  let pool = create ~domains:n ~cache_cap ~queue_bound () in
-  let sharded = run_batch pool ~lines in
-  let stray = shutdown pool in
-  let sharded_metrics = metrics pool in
-  let identical =
-    stray = []
-    && List.length single.Serve.responses = List.length sharded.Serve.responses
-    && List.for_all2
-         (fun a b -> Serve.signature a = Serve.signature b)
-         single.Serve.responses sharded.Serve.responses
-  in
-  let speedup =
-    if sharded.Serve.wall_s > 0. then single.Serve.wall_s /. sharded.Serve.wall_s
-    else 0.
+  let c =
+    Serve.compare_servers ~lines
+      (fun () -> server ~cache_cap ~queue_bound ())
+      (fun () -> of_pool (create ~domains:n ~cache_cap ~queue_bound ()))
   in
   {
-    single;
-    sharded;
-    single_metrics = Engine.metrics engine;
-    sharded_metrics;
-    identical;
-    coalesced = Metrics.get sharded_metrics "coalesced";
-    speedup;
+    single = c.Serve.cold;
+    sharded = c.Serve.warm;
+    single_metrics = c.Serve.cold_metrics;
+    sharded_metrics = c.Serve.warm_metrics;
+    identical = c.Serve.identical;
+    coalesced = Metrics.get c.Serve.warm_metrics "coalesced";
+    speedup = c.Serve.speedup;
   }

@@ -3,28 +3,29 @@
     A pool of [domains] worker domains, each owning a private
     {!Engine.t}: memo cache, coalesce table and scheduler lanes are
     partitioned by job hash, so shards share no mutable job state and
-    the hot path takes no lock.  The caller's domain acts as the
-    router: it parses each NDJSON line, computes the cheap
-    {!Job.route_hash} (the expensive canonical keying happens on the
-    shard), picks a shard by consistent hashing (64 virtual nodes per
-    shard, so the key->shard map is stable in the domain count and
-    balanced across shards) and ships the request through a
-    single-producer single-consumer ring
+    the hot path takes no lock.  Each worker runs its engine through
+    {!Serve.driver}, the same driver as the single engine.  The
+    caller's domain acts as the router: it parses each NDJSON line,
+    computes the cheap {!Job.route_hash} (the expensive canonical
+    keying happens on the shard), picks a shard by consistent hashing
+    (64 virtual nodes per shard, so the key->shard map is stable in the
+    domain count and balanced across shards) and ships the request
+    through a single-producer single-consumer ring
     ({!Armb_runtime.Spsc_ring.Poly}); responses come back on a second
-    ring per worker.
+    ring per worker.  {!serve} and {!run_batch} are {!Serve.stream} and
+    {!Serve.run_lines} over one router backend.
 
     The router also enforces the {e global} queue bound in input order,
     mirroring the single engine's shed behaviour instead of letting the
     effective bound scale with the domain count: a route hash already
     in flight will coalesce on its shard and one already completed will
     hit its shard's cache, so neither claims budget.  Shed hints come
-    from a completed-work account every shard folds into through a
-    DSM-Synch combining lock ({!Armb_runtime.Dsmsynch}); per-shard
-    engine metrics merge into one aggregate under a ticket lock at
-    shutdown.
+    from the workers' completed-work totals, which each worker publishes
+    in an [Atomic] after every drain; each worker returns its engine's
+    metrics from its domain, and {!shutdown} merges them.
 
     A pool is single-router: drive each [t] from one domain at a time.
-    All response-count conservation guarantees of {!Serve.run_batch}
+    All response-count conservation guarantees of {!Serve.run_lines}
     carry over. *)
 
 type t
@@ -59,10 +60,10 @@ val shard_of : t -> Engine.request -> int
 (** [shard_of_hash] of the request's {!Job.route_hash}. *)
 
 val run_batch : t -> lines:string list -> Serve.batch
-(** One-shot batch over the pool: route every request (router-side
-    admission sheds above the global bound), then barrier on every
-    shard draining.  Responses come back in input order, orphans
-    appended, with the same conservation contract as
+(** One-shot batch over the pool ({!Serve.run_lines}): route every
+    request (router-side admission sheds above the global bound), then
+    barrier on every shard draining.  Responses come back in input
+    order, orphans appended, with the same conservation contract as
     {!Serve.run_batch}.  The pool stays warm: a second batch on the
     same [t] hits the shard caches. *)
 
@@ -95,6 +96,20 @@ val shutdown : t -> Engine.response list
 val metrics : t -> Metrics.t
 (** The pool aggregate: router-side sheds plus, after {!shutdown},
     every shard engine's counters and latency histogram merged. *)
+
+val server :
+  ?domains:int ->
+  ?cache_cap:int ->
+  ?queue_bound:int ->
+  ?no_cache:bool ->
+  ?drain_every:int ->
+  unit ->
+  Serve.server
+(** The engine or pool a front end runs on: one engine in this domain
+    ({!Serve.of_engine}) when [domains] is 1 or less (the default),
+    otherwise a pool of [domains] workers ({!create}) whose [stop] is
+    {!shutdown}.  [drain_every] defaults to [max_int], the batch policy,
+    for both. *)
 
 type comparison = {
   single : Serve.batch;  (** one engine, one domain *)

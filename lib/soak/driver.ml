@@ -83,20 +83,11 @@ type report = {
   ok : bool;  (** zero violations *)
 }
 
-type backend = Single of Engine.t | Sharded of Shard.t
-
-let backend_metrics = function
-  | Single e -> Engine.metrics e
-  | Sharded s -> Shard.metrics s
-
-let run_lines backend lines =
-  match backend with
-  | Single e -> (Serve.run_batch e ~lines).Serve.responses
-  | Sharded s -> (Shard.run_batch s ~lines).Serve.responses
+let run_lines (server : Serve.server) lines = (Serve.run_lines server.backend ~lines).responses
 
 (* one-request round trip, for retries *)
-let run_one backend (job : Gen.job) =
-  match run_lines backend [ job.Gen.line ] with
+let run_one server (job : Gen.job) =
+  match run_lines server [ job.Gen.line ] with
   | r :: _ -> r
   | [] ->
     {
@@ -152,12 +143,8 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
   let clock = Clock.create () in
   let t0 = Clock.now_us clock in
   let wall_s () = float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 in
-  let backend =
-    if cfg.domains >= 2 then
-      Sharded
-        (Shard.create ~domains:cfg.domains ~cache_cap:cfg.cache_cap
-           ~queue_bound:cfg.queue_bound ())
-    else Single (Engine.create ~cache_cap:cfg.cache_cap ~queue_bound:cfg.queue_bound ())
+  let server =
+    Shard.server ~domains:cfg.domains ~cache_cap:cfg.cache_cap ~queue_bound:cfg.queue_bound ()
   in
   let gen = Gen.create ~pool:cfg.pool ~alpha:cfg.alpha ~seed:cfg.seed () in
   (* injected job list (tests, fixtures) replaces the generator stream *)
@@ -217,7 +204,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       let j =
         snapshot_json ~cfg ~wall_s:(wall_s ()) ~counters:(counters ())
           ~by_kind:(kind_counts ()) ~violations:!nviol ~snapshots:!snapshots
-          (backend_metrics backend)
+          (server.metrics ())
       in
       (match Out.write ~path (Json.to_string j ^ "\n") with
       | Ok () -> ()
@@ -246,7 +233,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       incr shed_seen;
       match
         Retry.resubmit ~policy:cfg.retry ~sleep
-          ~attempt:(fun () -> run_one backend job)
+          ~attempt:(fun () -> run_one server job)
           resp
       with
       | Retry.Completed { response; retries = _ } ->
@@ -284,7 +271,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
     if wave_jobs = [] then finished := true
     else begin
       let lines = List.map (fun (j : Gen.job) -> j.Gen.line) wave_jobs in
-      let responses = run_lines backend lines in
+      let responses = run_lines server lines in
       let n = List.length wave_jobs in
       List.iteri
         (fun i (resp : Engine.response) ->
@@ -307,20 +294,17 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       if hit_request_bound () || hit_time_bound () then finished := true
     end
   done;
-  (* sharded engines merge their metrics into the aggregate at
-     shutdown, so the *final* snapshot (below) is the complete one —
+  (* a pool's engines merge their metrics into the aggregate when it
+     stops, so the *final* snapshot (below) is the complete one —
      rolling snapshots during a sharded run carry router-side counters
      only.  Leftover in-flight responses would be conservation
      breaches; surface them. *)
-  (match backend with
-  | Sharded s ->
-    List.iter
-      (fun (resp : Engine.response) ->
-        bundle
-          { Gen.id = resp.Engine.id; kind = "?"; expect = Invariant.Status_ok; line = "" }
-          resp "response still in flight at shutdown")
-      (Shard.shutdown s)
-  | Single _ -> ());
+  List.iter
+    (fun (resp : Engine.response) ->
+      bundle
+        { Gen.id = resp.Engine.id; kind = "?"; expect = Invariant.Status_ok; line = "" }
+        resp "response still in flight at shutdown")
+    (server.stop ());
   snapshot ();
   {
     submitted = !submitted;
@@ -337,7 +321,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
     violations = List.rev !violations;
     snapshots = !snapshots;
     wall_s = wall_s ();
-    metrics = backend_metrics backend;
+    metrics = server.metrics ();
     ok = !violations = [];
   }
 

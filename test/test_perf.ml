@@ -1,7 +1,9 @@
 (* Tests for the perf harness's JSON: the baseline loader reads the
-   committed pretty-printed BENCH_perf.json and the single-line files
-   written now, rejects a truncated file with the parser's position,
-   and reads a file without "fault" as faults-off. *)
+   pretty-printed baseline kept as a fixture (BENCH_perf_v1.json, one
+   sample per workload) and the single-line files written now, rejects
+   a truncated file with the parser's position, and reads a file
+   without "fault" as faults-off; the committed BENCH_perf.json names
+   every quick workload in order. *)
 
 module Perf = Armb_perf.Perf
 module Json = Armb_json.Json
@@ -28,10 +30,10 @@ let triple (r : Perf.results) = (r.mode, r.fault, r.samples)
 let load path =
   match Perf.load_json ~path with Ok r -> r | Error e -> Alcotest.fail e
 
-(* What the earlier line-scanning loader read from the committed file. *)
+(* What the earlier line-scanning loader read from the fixture. *)
 let test_committed_baseline () =
   let s name events wall_s events_per_sec = { Perf.name; events; wall_s; events_per_sec } in
-  check results "BENCH_perf.json"
+  check results "BENCH_perf_v1.json"
     ( "quick",
       "none",
       [
@@ -47,10 +49,10 @@ let test_committed_baseline () =
         s "many-core-central" 1536 0.001364 1126105.7;
         s "many-core-tree" 1704 0.011404 149420.8;
       ] )
-    (triple (load "../BENCH_perf.json"))
+    (triple (load "BENCH_perf_v1.json"))
 
 let test_truncated_rejected () =
-  let text = In_channel.with_open_bin "../BENCH_perf.json" In_channel.input_all in
+  let text = In_channel.with_open_bin "BENCH_perf_v1.json" In_channel.input_all in
   with_file (String.sub text 0 (String.length text / 2)) (fun path ->
       match Perf.load_json ~path with
       | Ok _ -> Alcotest.fail "a truncated baseline must not load"
@@ -83,6 +85,26 @@ let test_no_fault_is_faults_off () =
     {|{"mode":"quick","workloads":[{"name":"x","events":1,"wall_s":0.5,"events_per_sec":2.0}]}|}
     (fun path -> check Alcotest.string "fault" "none" (load path).Perf.fault)
 
+(* The gate's baseline is a quick, faults-off run of every workload. *)
+let test_repo_baseline () =
+  let r = load "../BENCH_perf.json" in
+  check
+    Alcotest.(pair string string)
+    "mode and fault" ("quick", "none") (r.Perf.mode, r.Perf.fault);
+  check
+    Alcotest.(list string)
+    "workloads"
+    [
+      "fig3-slice"; "litmus-catalogue"; "fig6a-ring"; "fuzz-round"; "serve-cold";
+      "serve-warm"; "serve-zipf-warm"; "serve-sharded-cold"; "serve-sharded-warm";
+      "many-core-central"; "many-core-tree";
+    ]
+    (List.map (fun (s : Perf.sample) -> s.name) r.Perf.samples);
+  List.iter
+    (fun (s : Perf.sample) ->
+      check Alcotest.bool (s.name ^ " timed") true (s.events > 0 && s.events_per_sec > 0.))
+    r.Perf.samples
+
 let () =
   Alcotest.run "armb_perf"
     [
@@ -92,5 +114,7 @@ let () =
           Alcotest.test_case "truncated file rejected" `Quick test_truncated_rejected;
           Alcotest.test_case "to_json round trip" `Quick test_round_trip;
           Alcotest.test_case "no fault key is faults-off" `Quick test_no_fault_is_faults_off;
+          Alcotest.test_case "repo baseline covers every quick workload" `Quick
+            test_repo_baseline;
         ] );
     ]

@@ -701,6 +701,38 @@ let test_batch_conservation () =
   check Alcotest.int "fresh engine: one row per non-blank line" 2
     (List.length b2.Serve.responses)
 
+(* A long-lived driver (a shard worker, a streaming engine) sees a
+   stream of unique ids: the map must shrink back as they resolve, not
+   keep one emptied entry per id ever seen. *)
+let test_slot_map_bounded () =
+  let m = Serve.Slot_map.create () in
+  let cycle c =
+    let id i = Printf.sprintf "c%d-%d" c i in
+    for i = 0 to 15 do
+      Serve.Slot_map.expect m ~id:(id i) ~slot:i
+    done;
+    for i = 0 to 15 do
+      check Alcotest.(option int) "oldest slot under the id" (Some i)
+        (Serve.Slot_map.resolve m ~id:(id i))
+    done
+  in
+  for c = 1 to 10 do
+    cycle c
+  done;
+  let after_10 = Obj.reachable_words (Obj.repr m) in
+  for c = 11 to 10_000 do
+    cycle c
+  done;
+  let after_10k = Obj.reachable_words (Obj.repr m) in
+  check Alcotest.int "nothing pending" 0 (Serve.Slot_map.pending m);
+  check Alcotest.(option int) "a resolved id is gone" None
+    (Serve.Slot_map.resolve m ~id:"c1-0");
+  check Alcotest.bool
+    (Printf.sprintf "size bounded: %d words after 10 cycles, %d after 10000" after_10
+       after_10k)
+    true
+    (after_10k <= 2 * after_10 && after_10k < 4096)
+
 (* ---------- JSON grammar ---------- *)
 
 let test_json_number_grammar () =
@@ -1045,6 +1077,71 @@ let test_shard_answers_without_more_input () =
   ignore (Shard.shutdown pool : Engine.response list);
   check (Alcotest.option Alcotest.string) "sharded hit answered with the input open" (Some "hit") hit
 
+(* A pool prices its shed hints from the workers' completed totals:
+   the no-data default before anything completed, the measured mean
+   cost once a batch has. *)
+let test_shard_shed_hint_from_totals () =
+  let pool = Shard.create ~domains:2 ~queue_bound:1 () in
+  let shed_hint lines =
+    let hints =
+      List.filter_map
+        (fun (r : Engine.response) ->
+          match r.Engine.reply with
+          | Engine.Shed { retry_after_ms } -> Some retry_after_ms
+          | _ -> None)
+        (Shard.run_batch pool ~lines).Serve.responses
+    in
+    match hints with [ h ] -> h | _ -> Alcotest.fail "expected exactly one shed"
+  in
+  let lines = List.map (fun (id, seed) -> String.trim (mp_line ~id ~seed)) in
+  let fresh = shed_hint (lines [ ("a", 21); ("b", 22) ]) in
+  let after = shed_hint (lines [ ("c", 23); ("d", 24) ]) in
+  ignore (Shard.shutdown pool : Engine.response list);
+  check Alcotest.int "nothing completed yet: the 50 ms default" 50 fresh;
+  check Alcotest.bool
+    (Printf.sprintf "after a completed batch: priced from the workers' totals (%d ms)" after)
+    true
+    (after >= 1 && after < 50)
+
+(* The identity-relevant part of a written response line, as
+   [Serve.signature] projects a response. *)
+let line_signature line =
+  match Json.of_string line with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    let str k = Option.value ~default:"" (Json.mem_str k j) in
+    ( str "id",
+      match str "status" with
+      | "ok" -> ("ok", str "result")
+      | "error" -> ("error", str "message")
+      | status -> (status, "") )
+
+(* [serve] over [lines] from a file into a file; the response lines. *)
+let serve_file serve lines =
+  let inp = Filename.temp_file "armb-serve-in" ".ndjson" in
+  let outp = Filename.temp_file "armb-serve-out" ".ndjson" in
+  Out_channel.with_open_bin inp (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let ic = open_in_bin inp and oc = open_out_bin outp in
+  serve ic oc;
+  close_in ic;
+  close_out oc;
+  let got = In_channel.with_open_bin outp In_channel.input_all in
+  Sys.remove inp;
+  Sys.remove outp;
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' got)
+
+let test_stream_single_vs_sharded () =
+  let lines = Serve.demo_requests ~requests:60 ~seed:3 () in
+  let by_id rows = List.sort compare (List.map line_signature rows) in
+  let single = serve_file (Serve.serve ~drain_every:16 (Engine.create ())) lines in
+  let pool = Shard.create ~domains:2 ~drain_every:16 ~queue_bound:256 () in
+  let sharded = serve_file (Shard.serve pool) lines in
+  check Alcotest.int "no stray response" 0 (List.length (Shard.shutdown pool));
+  check Alcotest.int "one row per line" (List.length lines) (List.length single);
+  check
+    Alcotest.(list (pair string (pair string string)))
+    "same signature per id" (by_id single) (by_id sharded)
+
 let () =
   Alcotest.run "service"
     [
@@ -1080,6 +1177,8 @@ let () =
             test_engine_wall_us_nonnegative;
           Alcotest.test_case "batch response-count conservation" `Quick
             test_batch_conservation;
+          Alcotest.test_case "slot map size bounded by waiting slots" `Quick
+            test_slot_map_bounded;
         ] );
       ( "shard",
         [
@@ -1088,6 +1187,8 @@ let () =
           Alcotest.test_case "sharded identical to single-domain" `Slow
             test_shard_identical_to_single;
           Alcotest.test_case "global queue bound" `Slow test_shard_global_queue_bound;
+          Alcotest.test_case "shed hint from the workers' totals" `Slow
+            test_shard_shed_hint_from_totals;
           Alcotest.test_case "zipf traffic deterministic and skewed" `Quick
             test_shard_zipf_deterministic_and_skewed;
         ] );
@@ -1123,5 +1224,7 @@ let () =
             test_single_answers_without_more_input;
           Alcotest.test_case "shard router answers without more input" `Quick
             test_shard_answers_without_more_input;
+          Alcotest.test_case "single and 2-domain streams answer alike" `Quick
+            test_stream_single_vs_sharded;
         ] );
     ]
